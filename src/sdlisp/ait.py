@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .bits import bitstrings_up_to
-from .dyadic import Dyadic
+from .dyadic import Dyadic, mass
 from .interp import (
     Budget,
     OutOfData,
@@ -24,6 +23,7 @@ from .interp import (
     Session,
     evaluate,
 )
+from .omega import candidates
 from .sexpr import (
     NIL,
     PRIMITIVE_ARITY,
@@ -63,11 +63,7 @@ class ComplexityRecord:
 
 
 def _ordered_candidates(machine, size_cap: int) -> list[str]:
-    if hasattr(machine, "halting_candidates"):
-        programs = [p for p in machine.halting_candidates(size_cap) if len(p) <= size_cap]
-    else:
-        programs = list(bitstrings_up_to(size_cap))
-    return sorted(set(programs), key=lambda p: (len(p), p))
+    return sorted(set(candidates(machine, size_cap)), key=lambda p: (len(p), p))
 
 
 def H_upper(x: SExpr, machine, size_cap: int, budget: int | None) -> ComplexityRecord:
@@ -241,12 +237,13 @@ def run_pair(xstar: str, ystar: str, budget: int | None = None):
 
 def P_lower(x: SExpr, machine, max_len: int, budget: int | None) -> Dyadic:
     """Mass of the programs of length <= max_len that compute *x* in time."""
-    total = Dyadic.zero()
-    for p in _ordered_candidates(machine, max_len):
-        result = machine.run(p, budget)
-        if result.halted and result.value == x:
-            total = total + Dyadic.half_power(len(p))
-    return total
+    def lengths():
+        for p in _ordered_candidates(machine, max_len):
+            result = machine.run(p, budget)
+            if result.halted and result.value == x:
+                yield len(p)
+
+    return mass(lengths())
 
 
 @dataclass(frozen=True)

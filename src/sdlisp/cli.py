@@ -57,15 +57,20 @@ def format_run_result(result) -> str:
 # ---------------------------------------------------------------------------
 # verbs
 
-def cmd_run(args) -> int:
-    session = Session(emit=lambda v: print(print_canonical(v)))
-    for kind, payload in session.run_source(_read_text(args.source)):
+def _run_and_print(session: Session, text: str) -> None:
+    """Evaluate top-level forms, printing definitions, values and errors."""
+    for kind, payload in session.run_source(text):
         if kind == "define":
             print(f"define {print_canonical(payload)}")
         elif kind == "error":
             print(f"error {print_canonical(payload)}", file=sys.stderr)
         else:
             print(print_canonical(payload))
+
+
+def cmd_run(args) -> int:
+    session = Session(emit=lambda v: print(print_canonical(v)))
+    _run_and_print(session, _read_text(args.source))
     return 0
 
 
@@ -89,13 +94,7 @@ def cmd_repl(args) -> int:
         if not text.strip():
             continue
         try:
-            for kind, payload in session.run_source(text):
-                if kind == "define":
-                    print(f"define {print_canonical(payload)}")
-                elif kind == "error":
-                    print(f"error {print_canonical(payload)}", file=sys.stderr)
-                else:
-                    print(print_canonical(payload))
+            _run_and_print(session, text)
         except SExprSyntaxError as exc:
             print(f"parse error: {exc}", file=sys.stderr)
 
@@ -189,7 +188,7 @@ def cmd_omega(args) -> int:
         bound = omega.omega_prime_lower(machine, args.prime, args.max_len, args.budget)
         print(f"{format_dyadic(bound)} (lower bound of a lower bound)")
         return 0
-    estimate = omega.omega_lower_bound(machine, args.max_len, args.budget, jobs=args.jobs)
+    estimate = omega.omega_lower_bound(machine, args.max_len, args.budget)
     print(f"{estimate.value.bin_str()} (dyadic {estimate.value})")
     if args.bits is not None:
         exact = machine.exact_omega
@@ -312,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--max-len", type=int, default=8)
     sub.add_argument("--bits", type=int, default=None,
                      help="also print this many leading bits when the exact value is known")
-    sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--force", action="store_true")
     sub.add_argument("--count-file", default=None,
                      help="classify these programs given --count of them halt")

@@ -16,10 +16,11 @@ class Dyadic:
         if exp < 0:
             num <<= -exp
             exp = 0
-        while exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
-        if num == 0:
+        if num:
+            shift = min(exp, (num & -num).bit_length() - 1)  # trailing zeros
+            num >>= shift
+            exp -= shift
+        else:
             exp = 0
         self.num = num
         self.exp = exp
@@ -130,7 +131,16 @@ class Dyadic:
 
 
 def sum_dyadic(items) -> Dyadic:
-    total = Dyadic.zero()
+    """Exact sum: integer numerators at a common exponent, normalized once."""
+    num = exp = 0
     for item in items:
-        total = total + item
-    return total
+        if item.exp > exp:
+            num <<= item.exp - exp
+            exp = item.exp
+        num += item.num << (exp - item.exp)
+    return Dyadic(num, exp)
+
+
+def mass(lengths) -> Dyadic:
+    """Sum of 2**-k over *lengths*: the measure of programs of those sizes."""
+    return sum_dyadic(map(Dyadic.half_power, lengths))

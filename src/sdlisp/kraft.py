@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 
-from .dyadic import Dyadic
+from .dyadic import Dyadic, mass
 from .sexpr import SExpr
 from .universal import RunResult, halted, invalid
 
@@ -44,10 +44,7 @@ class Allocator:
         self.assigned: list[tuple[str, SExpr]] = []
 
     def measure_used(self) -> Dyadic:
-        total = Dyadic.zero()
-        for codeword, _ in self.assigned:
-            total = total + Dyadic.half_power(len(codeword))
-        return total
+        return mass(len(codeword) for codeword, _ in self.assigned)
 
     def _leftmost_fit(self, size: int) -> tuple[int, int] | None:
         best = None
@@ -94,10 +91,7 @@ class KraftMachine:
         for codeword, _ in self.assignments:
             for i in range(len(codeword)):
                 self.prefixes.add(codeword[:i])
-        total = Dyadic.zero()
-        for codeword, _ in self.assignments:
-            total = total + Dyadic.half_power(len(codeword))
-        self.exact_omega = total
+        self.exact_omega = mass(len(codeword) for codeword, _ in self.assignments)
 
     def run(self, program: str, budget: int | None = None) -> RunResult:
         if program in self.outputs:

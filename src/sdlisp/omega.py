@@ -11,11 +11,10 @@ All arithmetic is exact dyadic; no bit of an estimate is ever rounded.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .bits import bitstrings_up_to
-from .dyadic import Dyadic
+from .dyadic import Dyadic, mass
 
 HALTS = "halts"
 NEVER_HALTS = "never-halts"
@@ -33,38 +32,24 @@ class OmegaEstimate:
     halted: tuple[str, ...]
 
 
-def _candidates(machine, max_len: int):
+def candidates(machine, max_len: int):
+    """Programs of length <= max_len that may halt: the machine's own
+    enumeration of its domain if it has one, else every bit string."""
     if hasattr(machine, "halting_candidates"):
-        return machine.halting_candidates(max_len)
+        return (p for p in machine.halting_candidates(max_len) if len(p) <= max_len)
     return bitstrings_up_to(max_len)
 
 
-def _run_slice(machine, programs, budget):
-    return [p for p in programs if machine.run(p, budget).halted]
-
-
-def omega_lower_bound(machine, max_len: int, budget: int | None, jobs: int = 1) -> OmegaEstimate:
+def omega_lower_bound(machine, max_len: int, budget: int | None) -> OmegaEstimate:
     """Mass of every program of length <= max_len that halts within budget.
 
     A pure function of (machine, max_len, budget): machines may supply a
-    complete candidate enumeration of their domain, and the worker split is
-    merged in program order, so concurrency cannot change the estimate.
+    complete candidate enumeration of their domain.  Candidates are streamed,
+    so memory stays bounded by the halting set, not the space.
     """
-    if jobs > 1:
-        programs = list(_candidates(machine, max_len))
-        chunk = max(1, (len(programs) + jobs - 1) // jobs)
-        slices = [programs[i:i + chunk] for i in range(0, len(programs), chunk)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(lambda s: _run_slice(machine, s, budget), slices)
-        halted = [p for part in results for p in part]
-    else:
-        # streamed: memory stays bounded by the halting set, not the space
-        halted = _run_slice(machine, _candidates(machine, max_len), budget)
-    halted = sorted(set(halted), key=lambda p: (len(p), p))
-    value = Dyadic.zero()
-    for p in halted:
-        value = value + Dyadic.half_power(len(p))
-    return OmegaEstimate(value, max_len, budget, tuple(halted))
+    halted = {p for p in candidates(machine, max_len) if machine.run(p, budget).halted}
+    halted = sorted(halted, key=lambda p: (len(p), p))
+    return OmegaEstimate(mass(map(len, halted)), max_len, budget, tuple(halted))
 
 
 def solve_halting_by_count(programs, count: int, machine, max_rounds: int = 64) -> list[str]:
@@ -125,11 +110,11 @@ def omega_prime_lower(machine, n_max: int, size_cap: int, budget: int | None) ->
     """
     from .ait import H_upper, SearchExhausted
 
-    total = Dyadic.zero()
-    for n in range(n_max + 1):
-        try:
-            record = H_upper(n, machine, size_cap, budget)
-        except SearchExhausted:
-            continue
-        total = total + Dyadic.half_power(record.size)
-    return total
+    def sizes():
+        for n in range(n_max + 1):
+            try:
+                yield H_upper(n, machine, size_cap, budget).size
+            except SearchExhausted:
+                pass
+
+    return mass(sizes())

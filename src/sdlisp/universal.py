@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .bits import BitStream, OutOfData, all_bitstrings
-from .dyadic import Dyadic
+from .bits import BitStream, OutOfData, all_bitstrings, check_bits
+from .dyadic import Dyadic, sum_dyadic
 from .interp import Budget, OutOfTime, Session, evaluate
 from .sexpr import (
     SExpr,
@@ -143,6 +143,23 @@ def encode_program(expr: SExpr, data: str = "") -> str:
     return to_bits(expr) + data
 
 
+def _read_doubled(program: str, i: int):
+    """Decode the doubled codeword starting at index *i* of *program*.
+
+    Each equal pair carries one bit, and only the encoder's own terminator
+    01 ends the word; a 10 pair is not in the domain (it would double the
+    mass of every codeword and push the total to 1).  Returns the decoded
+    bits and the index just past the terminator, or None and the reason the
+    program is invalid.
+    """
+    for j in range(i, len(program) - 1, 2):
+        if program[j] != program[j + 1]:
+            if program[j] == "1":
+                return None, PARSE_ERROR
+            return program[i:j:2], j + 2
+    return None, OUT_OF_DATA
+
+
 class ToyDoubling:
     """Reads pairs of equal bits and echoes one of each; an unequal pair
     stops the reading.  Halting is decidable, the domain is the doubled
@@ -154,25 +171,12 @@ class ToyDoubling:
     exact_omega = Dyadic(1, 1)
 
     def run(self, program: str, budget: int | None = None) -> RunResult:
-        out = []
-        i = 0
-        n = len(program)
-        while True:
-            if i + 2 > n:
-                return invalid(OUT_OF_DATA)
-            a, b = program[i], program[i + 1]
-            i += 2
-            if a != b:
-                # Only the encoder's own terminator ends a valid program;
-                # a 10 pair is not in the domain (it would double the mass
-                # of every codeword and push the total to 1).
-                if a == "1":
-                    return invalid(PARSE_ERROR)
-                break
-            out.append(a)
-        if i != n:
+        bits, end = _read_doubled(check_bits(program), 0)
+        if bits is None:
+            return invalid(end)
+        if end != len(program):
             return invalid(PARTIAL_CONSUMPTION)
-        return halted(tuple(int(c) for c in out), n)
+        return halted(tuple(map(int, bits)), end)
 
     def halts(self, program: str) -> bool:
         return self.run(program).halted
@@ -226,24 +230,17 @@ class ToyPair:
     exact_omega = Dyadic(1, 2)
 
     def run(self, program: str, budget: int | None = None) -> RunResult:
-        stream = BitStream(program)
+        check_bits(program)
         parts = []
+        end = 0
         for _ in range(2):
-            out = []
-            while True:
-                try:
-                    pair = stream.read(2)
-                except OutOfData:
-                    return invalid(OUT_OF_DATA)
-                if pair[0] != pair[1]:
-                    if pair == "10":
-                        return invalid(PARSE_ERROR)
-                    break
-                out.append(pair[0])
-            parts.append(tuple(int(c) for c in out))
-        if stream.remaining:
+            bits, end = _read_doubled(program, end)
+            if bits is None:
+                return invalid(end)
+            parts.append(tuple(map(int, bits)))
+        if end != len(program):
             return invalid(PARTIAL_CONSUMPTION)
-        return halted(tuple(parts), len(program))
+        return halted(tuple(parts), end)
 
     def halts(self, program: str) -> bool:
         return self.run(program).halted
@@ -268,10 +265,8 @@ class ComposedUniversal:
         self.decides_halting = all(getattr(m, "decides_halting", False) for m in self.machines)
         omegas = [getattr(m, "exact_omega", None) for m in self.machines]
         if self.machines and all(o is not None for o in omegas):
-            total = Dyadic.zero()
-            for k, omega in enumerate(omegas):
-                total = total + Dyadic(omega.num, omega.exp + k + 1)
-            self.exact_omega = total
+            self.exact_omega = sum_dyadic(
+                Dyadic(omega.num, omega.exp + k + 1) for k, omega in enumerate(omegas))
         else:
             self.exact_omega = None
 

@@ -144,11 +144,6 @@ class TestOmega:
                                "--max-rounds", "12")
         assert code == 1 and "failure" in err
 
-    def test_jobs_flag_changes_nothing(self, capsys):
-        _, out1, _ = run_cli(capsys, "omega", "--max-len", "10")
-        _, out2, _ = run_cli(capsys, "omega", "--max-len", "10", "--jobs", "4")
-        assert out1 == out2
-
     def test_prime_bound(self, capsys):
         code, out, _ = run_cli(capsys, "omega", "--machine", "toy-numeral",
                                "--prime", "3", "--max-len", "10")

@@ -1,8 +1,11 @@
 """Exact dyadic arithmetic."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
-from sdlisp.dyadic import Dyadic, sum_dyadic
+from sdlisp.dyadic import Dyadic, mass, sum_dyadic
 
 
 class TestArithmetic:
@@ -28,6 +31,60 @@ class TestArithmetic:
     def test_sum(self):
         parts = [Dyadic.half_power(k) for k in range(1, 11)]
         assert sum_dyadic(parts) == Dyadic(1) - Dyadic.half_power(10)
+
+
+def as_fraction(d: Dyadic) -> Fraction:
+    return Fraction(d.num, 1 << d.exp)
+
+
+def assert_normalized(d: Dyadic) -> None:
+    assert d.exp >= 0
+    assert d.exp == 0 or d.num % 2 == 1
+
+
+def random_dyadic(rng) -> tuple[Dyadic, Fraction]:
+    """Zero, wide, or few-significant-bit numerators of either sign; some
+    negative exponents."""
+    num = rng.choice([0, rng.randrange(-2**70, 2**70),
+                      rng.randrange(-64, 65) << rng.randrange(40)])
+    exp = rng.randrange(-12, 80)
+    return Dyadic(num, exp), Fraction(num) / Fraction(2) ** exp
+
+
+class TestAgainstFractions:
+    """Seeded random checks of the exact arithmetic against the stdlib."""
+
+    def test_construction(self):
+        rng = random.Random(1)
+        for _ in range(2000):
+            d, f = random_dyadic(rng)
+            assert_normalized(d)
+            assert as_fraction(d) == f
+
+    def test_add_and_sub(self):
+        rng = random.Random(2)
+        for _ in range(2000):
+            (a, fa), (b, fb) = random_dyadic(rng), random_dyadic(rng)
+            for d, f in ((a + b, fa + fb), (a - b, fa - fb)):
+                assert_normalized(d)
+                assert as_fraction(d) == f
+
+    def test_sum(self):
+        assert sum_dyadic([]) == Dyadic.zero()
+        rng = random.Random(3)
+        for _ in range(300):
+            pairs = [random_dyadic(rng) for _ in range(rng.randrange(0, 12))]
+            total = sum_dyadic(d for d, _ in pairs)
+            assert_normalized(total)
+            assert as_fraction(total) == sum((f for _, f in pairs), Fraction(0))
+
+    def test_mass(self):
+        assert mass([]) == Dyadic.zero()
+        rng = random.Random(4)
+        for _ in range(300):
+            lengths = [rng.randrange(0, 40) for _ in range(rng.randrange(0, 20))]
+            assert as_fraction(mass(lengths)) == sum((Fraction(1, 2 ** k) for k in lengths),
+                                                     Fraction(0))
 
 
 class TestFormatting:

@@ -82,11 +82,6 @@ class TestLowerBound:
         for a, b in zip(halted, halted[1:]):
             assert not b.startswith(a)
 
-    def test_jobs_do_not_change_the_estimate(self):
-        sequential = omega_lower_bound(TOY, 14, None, jobs=1)
-        concurrent = omega_lower_bound(TOY, 14, None, jobs=3)
-        assert sequential == concurrent
-
     def test_lispu_candidates_match_blind_enumeration(self):
         u = LispU()
         fast = omega_lower_bound(u, 17, 64)

@@ -176,6 +176,14 @@ class TestToyPair:
         assert not ToyPair().run("01").halted
 
 
+@pytest.mark.parametrize("machine", [ToyDoubling(), ToyNumeral(), ToyPair(), LispU()],
+                         ids=lambda m: m.name)
+@pytest.mark.parametrize("program", ["0a", "2201", "01 "])
+def test_non_bit_programs_are_rejected(machine, program):
+    with pytest.raises(ValueError, match="not a bit string"):
+        machine.run(program, 100)
+
+
 class TestCompose:
     def test_k0_is_a_one_bit_prefix(self):
         comp = compose_universal([ToyDoubling()])

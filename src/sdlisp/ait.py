@@ -103,6 +103,10 @@ class ExpressionSpace:
     symbols: tuple[str, ...] = DEFAULT_SYMBOLS
     numeral_limit: int | None = None
 
+    def __post_init__(self):
+        # a repeated symbol would enumerate every expression using it twice
+        object.__setattr__(self, "symbols", tuple(dict.fromkeys(self.symbols)))
+
     def atoms_of_size(self, size: int) -> Iterator[SExpr]:
         lo = 0 if size == 1 else 10 ** (size - 1)
         hi = 10 ** size - 1
@@ -114,12 +118,10 @@ class ExpressionSpace:
                 yield NIL if name == "nil" else name
 
     def of_size(self, size: int) -> tuple:
+        """Every canonical expression of the space that prints in exactly
+        *size* characters: ``size_chars(expr) == size`` for each one, which
+        the searches rely on instead of measuring."""
         return _space_of_size(self, size)
-
-    def expressions(self, max_size: int) -> Iterator[SExpr]:
-        """Every canonical expression of the space, smallest first."""
-        for size in range(1, max_size + 1):
-            yield from self.of_size(size)
 
 
 @lru_cache(maxsize=None)
@@ -145,10 +147,15 @@ def _space_of_size(space: ExpressionSpace, size: int) -> tuple:
 # ---------------------------------------------------------------------------
 # Character-level complexity and elegance
 
-def _evaluate_quietly(session: Session, expr: SExpr, budget: int | None) -> SExpr | None:
-    ctx = session._ctx(Budget(budget), stream=None, captures=[])
+def _evaluate_quietly(ctx, expr: SExpr, budget: int | None) -> SExpr | None:
+    """*expr*'s value within a fresh budget, or None if it ran out.
+
+    *ctx* is built once per search with neither captures nor emit, so
+    ``display`` output is dropped.
+    """
+    ctx.budget = Budget(budget)
     try:
-        return evaluate(expr, session.genv, ctx)
+        return evaluate(expr, ctx.genv, ctx)
     except (OutOfTime, OutOfData, RecursionError):
         return None
 
@@ -157,18 +164,19 @@ def lisp_complexity_upper(x: SExpr, char_cap: int, budget: int | None,
                           space: ExpressionSpace | None = None) -> ComplexityRecord:
     """Smallest enumerated expression whose value is *x*."""
     space = space or ExpressionSpace()
-    session = Session()
-    for expr in space.expressions(char_cap):
-        if _evaluate_quietly(session, expr, budget) == x:
-            return ComplexityRecord(
-                target=x,
-                witness=expr,
-                size=size_chars(expr),
-                search_cap=char_cap,
-                budget=budget,
-                exact=False,
-                unit="chars",
-            )
+    ctx = Session()._ctx(None)
+    for size in range(1, char_cap + 1):
+        for expr in space.of_size(size):
+            if _evaluate_quietly(ctx, expr, budget) == x:
+                return ComplexityRecord(
+                    target=x,
+                    witness=expr,
+                    size=size,
+                    search_cap=char_cap,
+                    budget=budget,
+                    exact=False,
+                    unit="chars",
+                )
     raise SearchExhausted(f"no expression of <= {char_cap} chars evaluates to {print_canonical(x)}")
 
 
@@ -195,21 +203,21 @@ def elegant_search(char_cap: int, budget: int | None,
     is final; elegance is always relative to the caps.
     """
     space = space or ExpressionSpace()
-    session = Session()
+    ctx = Session()._ctx(None)
     listing: dict = {}
     min_size: dict = {}
-    for expr in space.expressions(char_cap):
-        value = _evaluate_quietly(session, expr, budget)
-        if value is None:
-            continue
-        listing[expr] = value
-        min_size.setdefault(value, size_chars(expr))
-    elegant = tuple(
-        (expr, value)
-        for expr, value in listing.items()
-        if min_size[value] == size_chars(expr)
-    )
-    return ElegantReport(char_cap, budget, listing, min_size, elegant)
+    elegant: list = []
+    # sizes ascend, so a value's first size is its minimum and appending
+    # here keeps the listing's order
+    for size in range(1, char_cap + 1):
+        for expr in space.of_size(size):
+            value = _evaluate_quietly(ctx, expr, budget)
+            if value is None:
+                continue
+            listing[expr] = value
+            if min_size.setdefault(value, size) == size:
+                elegant.append((expr, value))
+    return ElegantReport(char_cap, budget, listing, min_size, tuple(elegant))
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,40 @@ class TestElegance:
             if expr not in small_marks and expr in large.listing:
                 assert expr not in large_marks
 
+    def test_elegant_keeps_listing_order(self, capsys):
+        # budget 2 cuts some runs, and (display) must print nothing.  The
+        # oracle assembles every text, so the cap stays at 10: cap 11 costs
+        # it about 15 times as long.
+        space = ExpressionSpace(symbols=("display", "+", "a"), numeral_limit=9)
+        report = elegant_search(10, 2, space)
+        assert report.elegant == tuple(
+            (e, v) for e, v in report.listing.items()
+            if report.min_size[v] == size_chars(e))
+        listing, min_size, _ = brute_force_elegance(10, 2, space.symbols, numeral_limit=9)
+        assert report.listing == listing
+        assert report.min_size == min_size
+        assert capsys.readouterr().out == ""
+
+
+class TestExpressionSpace:
+    @pytest.mark.parametrize("space, cap", [
+        (ExpressionSpace(numeral_limit=99), 5),
+        # a negative limit leaves no numeral of any width
+        (ExpressionSpace(symbols=("a", "b", "car", "'"), numeral_limit=-1), 7),
+        (ExpressionSpace(symbols=("nil", "a"), numeral_limit=9), 7),
+    ])
+    def test_of_size_yields_exactly_that_size(self, space, cap):
+        sized = [(size, e) for size in range(1, cap + 1) for e in space.of_size(size)]
+        assert sized
+        assert all(size_chars(e) == size for size, e in sized)
+
+    def test_repeated_symbols_enumerate_once(self):
+        once = ExpressionSpace(symbols=("a",), numeral_limit=0)
+        twice = ExpressionSpace(symbols=("a", "a"), numeral_limit=0)
+        exprs = [e for size in range(1, 6) for e in twice.of_size(size)]
+        assert len(exprs) == len(set(exprs)) == 10
+        assert elegant_search(5, 64, twice) == elegant_search(5, 64, once)
+
 
 class TestPairing:
     def test_prefix_is_the_canonical_composer(self):

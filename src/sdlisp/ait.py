@@ -23,7 +23,7 @@ from .interp import (
     Session,
     evaluate,
 )
-from .omega import candidates
+from .omega import runs
 from .sexpr import (
     NIL,
     PRIMITIVE_ARITY,
@@ -62,14 +62,9 @@ class ComplexityRecord:
     unit: str = "bits"
 
 
-def _ordered_candidates(machine, size_cap: int) -> list[str]:
-    return sorted(set(candidates(machine, size_cap)), key=lambda p: (len(p), p))
-
-
 def H_upper(x: SExpr, machine, size_cap: int, budget: int | None) -> ComplexityRecord:
     """Smallest program found for *x*: length order, then lexicographic."""
-    for p in _ordered_candidates(machine, size_cap):
-        result = machine.run(p, budget)
+    for p, result in runs(machine, size_cap, budget):
         if result.halted and result.value == x:
             return ComplexityRecord(
                 target=x,
@@ -245,13 +240,8 @@ def run_pair(xstar: str, ystar: str, budget: int | None = None):
 
 def P_lower(x: SExpr, machine, max_len: int, budget: int | None) -> Dyadic:
     """Mass of the programs of length <= max_len that compute *x* in time."""
-    def lengths():
-        for p in _ordered_candidates(machine, max_len):
-            result = machine.run(p, budget)
-            if result.halted and result.value == x:
-                yield len(p)
-
-    return mass(lengths())
+    return mass(len(p) for p, result in runs(machine, max_len, budget)
+                if result.halted and result.value == x)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,12 @@ All arithmetic is exact dyadic; no bit of an estimate is ever rounded.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .bits import bitstrings_up_to
 from .dyadic import Dyadic, mass
+from .universal import OUT_OF_DATA
 
 HALTS = "halts"
 NEVER_HALTS = "never-halts"
@@ -32,24 +34,39 @@ class OmegaEstimate:
     halted: tuple[str, ...]
 
 
-def candidates(machine, max_len: int):
-    """Programs of length <= max_len that may halt: the machine's own
-    enumeration of its domain if it has one, else every bit string."""
-    if hasattr(machine, "halting_candidates"):
-        return (p for p in machine.halting_candidates(max_len) if len(p) <= max_len)
-    return bitstrings_up_to(max_len)
+def runs(machine, max_len: int, budget: int | None):
+    """Runs of the programs of <= max_len bits that may halt, as
+    (program, result) pairs in (length, lexicographic) order.
+
+    The walk starts from the machine's halting_candidates (or from the empty
+    program) and extends a program by one bit only when its run ended out of
+    data.  That is exact under the machine contract (see universal): out of
+    data means the run needed bits past the end, and every other outcome is
+    final for every extension.  It is a loop, not a recursion, so every run
+    starts at the same host stack depth.
+    """
+    roots = machine.halting_candidates(max_len) if hasattr(machine, "halting_candidates") else ("",)
+    buckets = defaultdict(set)
+    for p in roots:
+        if len(p) <= max_len:
+            buckets[len(p)].add(p)
+    for n in range(max_len + 1):
+        for p in sorted(buckets.pop(n, ())):
+            result = machine.run(p, budget)
+            yield p, result
+            if n < max_len and result.reason == OUT_OF_DATA:
+                buckets[n + 1].update((p + "0", p + "1"))
 
 
 def omega_lower_bound(machine, max_len: int, budget: int | None) -> OmegaEstimate:
     """Mass of every program of length <= max_len that halts within budget.
 
-    A pure function of (machine, max_len, budget): machines may supply a
-    complete candidate enumeration of their domain.  Candidates are streamed,
-    so memory stays bounded by the halting set, not the space.
+    A pure function of (machine, max_len, budget).  Runs are streamed in
+    order, so memory holds the roots, the walk's frontier and the halting
+    set, not the space.
     """
-    halted = {p for p in candidates(machine, max_len) if machine.run(p, budget).halted}
-    halted = sorted(halted, key=lambda p: (len(p), p))
-    return OmegaEstimate(mass(map(len, halted)), max_len, budget, tuple(halted))
+    halted = tuple(p for p, result in runs(machine, max_len, budget) if result.halted)
+    return OmegaEstimate(mass(map(len, halted)), max_len, budget, halted)
 
 
 def solve_halting_by_count(programs, count: int, machine, max_rounds: int = 64) -> list[str]:

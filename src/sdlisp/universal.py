@@ -6,6 +6,11 @@ A machine maps bit strings to S-expressions.  A run counts as halting only
 when the computation converges *and* every bit of the program was consumed;
 that exact-consumption rule is what forces the halting set to be prefix-free,
 which the halting-probability machinery requires.
+
+Every machine keeps one contract with the searches that extend programs bit
+by bit (omega.runs): the reason out-of-data means the run needed bits past
+the end of the program, and every other outcome is final for every
+extension of it.
 """
 
 from __future__ import annotations
@@ -110,28 +115,25 @@ class LispU:
             value = evaluate(expr, session.genv, ctx)
         except (OutOfTime, RecursionError):
             return still_running()
-        except OutOfData:
+        except OutOfData as exc:
+            # read-exp on undecodable data: no extension can mend it
+            if isinstance(exc.__cause__, SExprSyntaxError):
+                return invalid(PARSE_ERROR)
             return invalid(OUT_OF_DATA)
         if stream.remaining:
             return invalid(PARTIAL_CONSUMPTION)
         return halted(value, len(program))
 
     def halting_candidates(self, max_len: int):
-        """Every program of length <= max_len that could possibly halt.
+        """The bits of every parseable text and its newline, up to max_len.
 
-        A halting program must decode as printable characters up to a
-        newline, the text must parse, and the rest is data; anything else is
-        rejected by the prefix reader before it can converge.  The count is
-        exponential in max_len/8, so keep max_len small.
+        Every halting program starts with one of them and continues with
+        data, which omega.runs grows only while the run ends out of data.
+        The count is exponential in max_len/8, so keep max_len small.
         """
-        max_chars = max_len // 8 - 1
-        for nchars in range(1, max_chars + 1):
-            prefix_len = 8 * (nchars + 1)
+        for nchars in range(1, max_len // 8):
             for text in _parseable_texts(nchars):
-                prefix_bits = "".join(format(ord(c), "08b") for c in text) + format(10, "08b")
-                for data_len in range(max_len - prefix_len + 1):
-                    for data in all_bitstrings(data_len):
-                        yield prefix_bits + data
+                yield "".join(format(ord(c), "08b") for c in text + "\n")
 
 
 def run_U(program: str, budget: int | None = None) -> RunResult:

@@ -14,6 +14,7 @@ from functools import lru_cache
 from sdlisp.bits import bitstrings_up_to
 from sdlisp.interp import Budget, OutOfData, OutOfTime, Session, evaluate
 from sdlisp.sexpr import parse_full, print_canonical
+from sdlisp.universal import LispU
 
 
 def is_doubling_codeword(p: str) -> bool:
@@ -37,6 +38,15 @@ def omega_by_enumeration(machine, max_len: int, budget) -> Fraction:
         if machine.run(p, budget).halted:
             total += Fraction(1, 2 ** len(p))
     return total
+
+
+def halted_by_suffix_enumeration(roots, k: int, budget) -> tuple[str, ...]:
+    """Every root followed by every data suffix of <= k bits that halts on a
+    plain LispU, shortest first, then lexicographic: the suffixes are
+    enumerated blindly instead of being grown only out of data."""
+    u = LispU()
+    found = [r + s for r in roots for s in bitstrings_up_to(k) if u.run(r + s, budget).halted]
+    return tuple(sorted(found, key=lambda p: (len(p), p)))
 
 
 def dyadic_as_fraction(d) -> Fraction:

@@ -12,11 +12,18 @@ from sdlisp.omega import (
     halting_oracle_from_omega,
     omega_lower_bound,
     omega_prime_lower,
+    runs,
     solve_halting_by_count,
 )
+from sdlisp.sexpr import parse_implicit, to_bits
 from sdlisp.universal import LispU, ToyDoubling, ToyNumeral
 
-from oracles import dyadic_as_fraction, is_doubling_codeword, omega_by_enumeration
+from oracles import (
+    dyadic_as_fraction,
+    halted_by_suffix_enumeration,
+    is_doubling_codeword,
+    omega_by_enumeration,
+)
 
 
 class _Blind:
@@ -99,6 +106,37 @@ class TestLowerBound:
         for budget in (8, 64, 512):
             value = omega_lower_bound(u, 20, budget).value
             assert value <= omega_lower_bound(u, 20, budget * 2).value
+
+
+class _OneText(LispU):
+    """U with a single candidate text, so the walk grows only its data."""
+
+    def __init__(self, text):
+        self.root = to_bits(parse_implicit(text))
+
+    def halting_candidates(self, max_len):
+        return (self.root,)
+
+
+class TestRuns:
+    def test_lispu_runs_each_halting_program_once(self):
+        results = [result for _, result in runs(LispU(), 24, 64)]
+        assert len(results) == 8625
+        assert all(result.halted for result in results)
+
+    def test_length_then_lexicographic_order(self):
+        programs = [p for p, _ in runs(_Blind(TOY), 12, None)]
+        assert programs == sorted(set(programs), key=lambda p: (len(p), p))
+
+    @pytest.mark.parametrize("text", [
+        "read-bit", "(cons (read-bit) (read-bit))", "read-exp", "(size (read-exp))",
+        # reads up to the first 1, so it halts at every data length up to the cap
+        "(let f (lambda (g) (if (= (read-bit) 1) 0 (g g))) (f f))",
+    ])
+    def test_grown_data_equals_suffix_enumeration(self, text):
+        machine = _OneText(text)
+        estimate = omega_lower_bound(machine, len(machine.root) + 12, 64)
+        assert estimate.halted == halted_by_suffix_enumeration([machine.root], 12, 64)
 
 
 class TestCountSolver:

@@ -66,6 +66,11 @@ class TestRunU:
     def test_unprintable_character_is_parse_error(self):
         assert run_U("00000001" + format(10, "08b")).reason == "parse-error"
 
+    def test_undecodable_read_exp_data_is_parse_error(self):
+        program = to_bits(("read-exp",))
+        assert run_U(program + "00000001").reason == "parse-error"
+        assert run_U(program + "0000000").reason == "out-of-data"
+
     def test_budget_expiry_is_still_running(self):
         looping = quote_program("(let loop (lambda (l) (l l)) (loop loop))")
         assert run_U(looping, budget=100).status == "still-running"

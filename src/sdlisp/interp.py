@@ -297,23 +297,17 @@ def _try(expr: SExpr, limit: SExpr, data: str, ctx: _Ctx) -> SExpr:
     try:
         value = evaluate(expr, ctx.genv, inner)
     except OutOfTime:
-        if inner_budget is parent:
-            raise
-        parent.spend(inner_budget.used)
-        if inner_budget.limit < declared:
+        if inner_budget is parent or inner_budget.limit < declared:
             raise
         return (FAILURE, OUT_OF_TIME, tuple(captures))
     except RecursionError:
         # The host stack is a resource too; treat exhausting it as time.
-        if inner_budget is not parent:
-            parent.spend(inner_budget.used)
         return (FAILURE, OUT_OF_TIME, tuple(captures))
     except OutOfData:
+        return (FAILURE, OUT_OF_DATA, tuple(captures))
+    finally:
         if inner_budget is not parent:
             parent.spend(inner_budget.used)
-        return (FAILURE, OUT_OF_DATA, tuple(captures))
-    if inner_budget is not parent:
-        parent.spend(inner_budget.used)
     return (SUCCESS, value, tuple(captures))
 
 

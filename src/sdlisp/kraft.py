@@ -7,18 +7,23 @@ leftmost free dyadic interval of length 2^-s in the unit interval.  The
 construction succeeds exactly when the running sum of 2^-s stays at or
 below one.
 
-Free space is a buddy structure: per-depth sorted lists of free aligned
-blocks, split leftward on demand.
+First fit keeps the invariant behind the Kraft-Chaitin lemma: there is at
+most one free aligned block at each depth, and a deeper free block lies to
+the left of every shallower one.  The free depths are therefore the 1-bits
+of one minus the used measure, and the leftmost block that can hold a
+2^-s interval is simply the deepest free block no deeper than s.  Splitting
+it frees one right half at each depth it passes, all of them depths that
+held no free block, so the invariant survives every request.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .dyadic import Dyadic, mass
 from .sexpr import SExpr
-from .universal import RunResult, halted, invalid
+from .universal import OUT_OF_DATA, PARSE_ERROR, PARTIAL_CONSUMPTION, RunResult, halted, invalid
 
 
 @dataclass(frozen=True)
@@ -39,39 +44,24 @@ class Allocator:
     """First-fit codeword allocator over one unit of dyadic storage."""
 
     def __init__(self):
-        # free[d] = sorted indices of free blocks [i/2^d, (i+1)/2^d)
-        self.free: dict[int, list[int]] = {0: [0]}
+        # free[d] = index i of the one free block [i/2^d, (i+1)/2^d) at depth d
+        self.free: dict[int, int] = {0: 0}
         self.assigned: list[tuple[str, SExpr]] = []
 
     def measure_used(self) -> Dyadic:
         return mass(len(codeword) for codeword, _ in self.assigned)
 
-    def _leftmost_fit(self, size: int) -> tuple[int, int] | None:
-        best = None
-        for depth in range(size + 1):
-            blocks = self.free.get(depth)
-            if not blocks:
-                continue
-            index = blocks[0]
-            position = index << (size - depth)  # left edge on the 2^-size grid
-            if best is None or position < best[2]:
-                best = (depth, index, position)
-        if best is None:
-            return None
-        return best[0], best[1]
-
     def request(self, req: Requirement) -> str:
         """Assign and return a codeword for *req*; raises Exhausted."""
-        fit = self._leftmost_fit(req.size)
-        if fit is None:
+        depth = max((d for d in self.free if d <= req.size), default=None)
+        if depth is None:
             raise Exhausted(f"no free {req.size}-bit codeword")
-        depth, index = fit
-        self.free[depth].pop(0)
+        index = self.free.pop(depth)
         while depth < req.size:
             # split: descend into the left half, free the right half
             index <<= 1
             depth += 1
-            insort(self.free.setdefault(depth, []), index + 1)
+            self.free[depth] = index + 1
         codeword = format(index, f"0{req.size}b") if req.size else ""
         self.assigned.append((codeword, req.output))
         return codeword
@@ -87,24 +77,25 @@ class KraftMachine:
     def __init__(self, assignments: list[tuple[str, SExpr]]):
         self.assignments = list(assignments)
         self.outputs = dict(self.assignments)
-        self.prefixes = set()
-        for codeword, _ in self.assignments:
-            for i in range(len(codeword)):
-                self.prefixes.add(codeword[:i])
+        # In sorted order a word that is a prefix of another is a prefix of
+        # its successor, so neighbours alone decide prefix-freeness.
+        self.codewords = sorted(codeword for codeword, _ in self.assignments)
+        for a, b in zip(self.codewords, self.codewords[1:]):
+            if b.startswith(a):
+                raise ValueError(f"codewords are not prefix-free: {a!r} and {b!r}")
         self.exact_omega = mass(len(codeword) for codeword, _ in self.assignments)
 
     def run(self, program: str, budget: int | None = None) -> RunResult:
         if program in self.outputs:
             return halted(self.outputs[program], len(program))
-        if program in self.prefixes:
-            return invalid("out-of-data")
-        for i in range(len(program)):
-            if program[:i] in self.outputs:
-                return invalid("partial-consumption")
-        return invalid("out-of-data")
-
-    def halts(self, program: str) -> bool:
-        return program in self.outputs
+        # Only the predecessor can be a prefix of the program, and if any
+        # codeword extends it, the successor does.
+        i = bisect_right(self.codewords, program)
+        if i and program.startswith(self.codewords[i - 1]):
+            return invalid(PARTIAL_CONSUMPTION)
+        if i < len(self.codewords) and self.codewords[i].startswith(program):
+            return invalid(OUT_OF_DATA)
+        return invalid(PARSE_ERROR)
 
     def halting_candidates(self, max_len: int):
         for codeword, _ in self.assignments:

@@ -180,9 +180,6 @@ class ToyDoubling:
             return invalid(PARTIAL_CONSUMPTION)
         return halted(tuple(map(int, bits)), end)
 
-    def halts(self, program: str) -> bool:
-        return self.run(program).halted
-
     def halting_candidates(self, max_len: int):
         for ndoubled in range((max_len - 2) // 2 + 1 if max_len >= 2 else 0):
             for x in all_bitstrings(ndoubled):
@@ -217,9 +214,6 @@ class ToyNumeral:
         digits = "".join(str(b) for b in result.value)
         return halted(int(digits, 2) if digits else 0, result.consumed)
 
-    def halts(self, program: str) -> bool:
-        return self._toy.halts(program)
-
     def halting_candidates(self, max_len: int):
         return self._toy.halting_candidates(max_len)
 
@@ -243,9 +237,6 @@ class ToyPair:
         if end != len(program):
             return invalid(PARTIAL_CONSUMPTION)
         return halted(tuple(parts), end)
-
-    def halts(self, program: str) -> bool:
-        return self.run(program).halted
 
     def halting_candidates(self, max_len: int):
         toy = ToyDoubling()
@@ -286,14 +277,12 @@ class ComposedUniversal:
             return halted(result.value, len(program))
         return result
 
-    def halts(self, program: str) -> bool:
-        return self.run(program).halted
-
     def halting_candidates(self, max_len: int):
-        for k, machine in enumerate(self.machines):
-            if k + 1 > max_len or not hasattr(machine, "halting_candidates"):
-                continue
+        for k, machine in enumerate(self.machines[:max_len]):
             head = "0" * k + "1"
+            if not hasattr(machine, "halting_candidates"):
+                yield head  # a bare selector: omega.runs grows the rest
+                continue
             for q in machine.halting_candidates(max_len - k - 1):
                 yield head + q
 

@@ -49,6 +49,23 @@ def halted_by_suffix_enumeration(roots, k: int, budget) -> tuple[str, ...]:
     return tuple(sorted(found, key=lambda p: (len(p), p)))
 
 
+def first_fit_by_definition(sizes) -> list[str | None]:
+    """The codeword first fit hands out for each size in turn, straight from
+    its definition: the lexicographically least s-bit string that is neither
+    a prefix nor an extension of a word assigned so far, or None when there
+    is no such string (and nothing is assigned)."""
+    assigned: list[str] = []
+    out: list[str | None] = []
+    for s in sizes:
+        words = (format(i, f"0{s}b") if s else "" for i in range(2 ** s))
+        fit = next((w for w in words
+                    if not any(w.startswith(a) or a.startswith(w) for a in assigned)), None)
+        if fit is not None:
+            assigned.append(fit)
+        out.append(fit)
+    return out
+
+
 def dyadic_as_fraction(d) -> Fraction:
     return Fraction(d.num, 2 ** d.exp)
 

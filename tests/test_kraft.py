@@ -6,9 +6,16 @@ from fractions import Fraction
 import pytest
 
 from sdlisp.dyadic import Dyadic
-from sdlisp.kraft import Allocator, BuildFailure, Exhausted, Requirement, build_computer
+from sdlisp.kraft import (
+    Allocator,
+    BuildFailure,
+    Exhausted,
+    KraftMachine,
+    Requirement,
+    build_computer,
+)
 
-from oracles import dyadic_as_fraction
+from oracles import dyadic_as_fraction, first_fit_by_definition
 
 
 def take(allocator, sizes):
@@ -19,6 +26,18 @@ def assert_prefix_free(codewords):
     words = sorted(codewords)
     for a, b in zip(words, words[1:]):
         assert not b.startswith(a), (a, b)
+
+
+def one_bits(x):
+    """Depths d with a 1 in the 2^-d place of the dyadic fraction x <= 1."""
+    depths = []
+    d = 0
+    while x:
+        if x >= Fraction(1, 2 ** d):
+            depths.append(d)
+            x -= Fraction(1, 2 ** d)
+        d += 1
+    return depths
 
 
 class TestRequest:
@@ -113,6 +132,41 @@ class TestSoundness:
             assert dyadic_as_fraction(a.measure_used()) == used
 
 
+class TestFirstFitInvariant:
+    def test_codewords_equal_the_definition(self):
+        rng = random.Random(53)
+        for _ in range(60):
+            sizes = [rng.randrange(0, 11) for _ in range(rng.randrange(1, 30))]
+            a = Allocator()
+            got = []
+            for s in sizes:
+                try:
+                    got.append(a.request(Requirement(s, "o")))
+                except Exhausted:
+                    got.append(None)
+            assert got == first_fit_by_definition(sizes), sizes
+
+    def test_exhausted_exactly_when_the_mass_would_pass_one(self):
+        rng = random.Random(59)
+        for _ in range(200):
+            a = Allocator()
+            used = Fraction(0)
+            for _ in range(60):
+                s = rng.randrange(0, 11)
+                before = (dict(a.free), list(a.assigned))
+                if used + Fraction(1, 2 ** s) <= 1:
+                    a.request(Requirement(s, "o"))
+                    used += Fraction(1, 2 ** s)
+                else:
+                    with pytest.raises(Exhausted):
+                        a.request(Requirement(s, "o"))
+                    assert (a.free, a.assigned) == before
+                assert sorted(a.free) == one_bits(1 - used)
+                # deeper free blocks lie to the left of shallower ones
+                edges = [Fraction(a.free[d], 2 ** d) for d in sorted(a.free, reverse=True)]
+                assert edges == sorted(edges)
+
+
 class TestBuildComputer:
     def test_machine_runs_its_codewords(self):
         reqs = [Requirement(1, ("a",)), Requirement(2, "b"), Requirement(3, 7), Requirement(3, 7)]
@@ -127,7 +181,15 @@ class TestBuildComputer:
         assert machine.run("00").halted
         assert machine.run("0").reason == "out-of-data"
         assert machine.run("001").reason == "partial-consumption"
-        assert machine.run("11").reason == "out-of-data"
+        # no extension of 11 can halt, so it is not out of data
+        assert machine.run("11").reason == "parse-error"
+
+    def test_prefix_free_assignments_are_required(self):
+        with pytest.raises(ValueError):
+            KraftMachine([("0", "a"), ("01", "b")])
+        with pytest.raises(ValueError):
+            KraftMachine([("10", "a"), ("11", "b"), ("10", "c")])
+        assert KraftMachine([("01", "a"), ("1", "b")]).run("1").value == "b"
 
     def test_empty_stream_gives_empty_domain(self):
         machine = build_computer([])

@@ -128,6 +128,13 @@ class TestRuns:
         programs = [p for p, _ in runs(_Blind(TOY), 12, None)]
         assert programs == sorted(set(programs), key=lambda p: (len(p), p))
 
+    def test_kraft_walk_stops_where_no_codeword_extends(self):
+        from sdlisp.kraft import Requirement, build_computer
+        machine = build_computer(
+            [Requirement(2, "a"), Requirement(3, "b"), Requirement(3, ("c", 1))])
+        programs = [p for p, _ in runs(_Blind(machine), 12, None)]
+        assert programs == ["", "0", "1", "00", "01", "010", "011"]
+
     @pytest.mark.parametrize("text", [
         "read-bit", "(cons (read-bit) (read-bit))", "read-exp", "(size (read-exp))",
         # reads up to the first 1, so it halts at every data length up to the cap
@@ -204,7 +211,8 @@ class TestEstimateInvariants:
         kraft_machine = build_computer(
             [Requirement(2, "a"), Requirement(3, "b"), Requirement(3, ("c", 1))])
         composed = compose_universal([TOY, ToyNumeral()])
-        for machine in (kraft_machine, composed):
+        partly_blind = compose_universal([TOY, _Blind(ToyNumeral())])
+        for machine in (kraft_machine, composed, partly_blind, _Blind(kraft_machine)):
             estimate = omega_lower_bound(machine, 9, None)
             assert dyadic_as_fraction(estimate.value) == omega_by_enumeration(machine, 9, None)
 

@@ -150,7 +150,7 @@ class TestToyDoubling:
 
     def test_domain_matches_oracle_up_to_12(self):
         for p in bitstrings_up_to(12):
-            assert self.toy.halts(p) == is_doubling_codeword(p), p
+            assert self.toy.run(p).halted == is_doubling_codeword(p), p
 
     def test_candidates_are_exactly_the_domain(self):
         assert sorted(self.toy.halting_candidates(12)) == sorted(toy_domain_up_to(12))

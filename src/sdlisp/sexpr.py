@@ -147,7 +147,7 @@ def tokenize(text: str) -> list[_Token]:
 
 def _atom(text: str) -> SExpr:
     if text.isdigit():
-        return int(text)
+        return _decimal_value(text)
     if text == "nil":
         return NIL
     return text
@@ -275,23 +275,123 @@ def iter_forms(text: str, table: ArityTable | None = None) -> Iterator[SExpr]:
         yield reader.read_arity()[0]
 
 
+# CPython refuses int<->str conversions wider than
+# sys.get_int_max_str_digits() (4,300 digits by default; a nonzero setting is
+# never below 640).  Numerals of at most _STR_SAFE_BITS bits (603 digits) go
+# through str() and int() directly; wider ones are split by powers 10^w with
+# w a power of two, so the dialect's numerals have no width limit under any
+# setting.
+_STR_SAFE_BITS = 2000
+_STR_SAFE_DIGITS = 600
+# floor(log10(2) * 2**128): b * _LOG10_2_Q128 >> 128 is floor(b * log10(2))
+# for any bit length b a machine can hold.
+_LOG10_2_Q128 = 102435199438739363750012109250103232700
+
+
+def _decimal(n: int) -> str:
+    """Exact decimal text of a natural of any width."""
+    if n.bit_length() <= _STR_SAFE_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    # (b - 1) * 3 // 10 <= digits - 1, so the high half is never zero.
+    w = 1 << (((n.bit_length() - 1) * 3 // 10).bit_length() - 1)
+    hi, lo = divmod(n, 10 ** w)
+    return _decimal(hi) + _decimal(lo).zfill(w)
+
+
+def _decimal_value(text: str) -> int:
+    """The natural a digit string of any length denotes; inverse of _decimal."""
+    if len(text) <= _STR_SAFE_DIGITS:
+        return int(text)
+    w = 1 << ((len(text) - 1).bit_length() - 1)
+    return _decimal_value(text[:-w]) * 10 ** w + _decimal_value(text[-w:])
+
+
+def _numeral_chars(n) -> int:
+    """len(_decimal(n)), counted from the bit length without any text."""
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, int)):
+        raise TypeError(f"not an S-expression: {n!r}")
+    b = n.bit_length()
+    if b <= _STR_SAFE_BITS:
+        return len(str(n))
+    if n < 0:
+        return 1 + _numeral_chars(-n)
+    # 2^(b-1) <= n < 2^b, so n has m or m + 1 digits for m = floor(b log10 2).
+    m = b * _LOG10_2_Q128 >> 128
+    return m + (n >= 10 ** m)
+
+
 def print_canonical(e: SExpr) -> str:
     """Deterministic canonical text: full parentheses, single blanks,
-    ``nil`` for the empty list, no apostrophe sugar."""
-    if isinstance(e, bool):
-        raise TypeError("booleans are not S-expressions")
-    if isinstance(e, int):
-        return str(e)
-    if isinstance(e, str):
-        return e
-    if e == ():
-        return "nil"
-    return "(" + " ".join(print_canonical(x) for x in e) + ")"
+    ``nil`` for the empty list, no apostrophe sugar.
+
+    The walk keeps its own stack, so a value of any depth prints.
+    """
+    parts: list[str] = []
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):  # a symbol, or punctuation pushed below
+            parts.append(x)
+        elif isinstance(x, tuple):
+            if not x:
+                parts.append("nil")
+                continue
+            parts.append("(")
+            stack.append(")")
+            for item in reversed(x[1:]):
+                stack.append(item)
+                stack.append(" ")
+            stack.append(x[0])
+        elif isinstance(x, bool) or not isinstance(x, int):
+            raise TypeError(f"not an S-expression: {x!r}")
+        else:
+            parts.append(_decimal(x))
+    return "".join(parts)
+
+
+# Sizes of recently measured lists, keyed by identity.  Each entry holds the
+# list itself, so its id cannot be reused by another object while cached;
+# keying by value would hash the whole tree, recursively on the host stack.
+_SIZE_CACHE: dict[int, tuple[tuple, int]] = {}
+_SIZE_CACHE_MAX = 4096
 
 
 def size_chars(e: SExpr) -> int:
-    """Character size of the canonical text; the dialect's complexity unit."""
-    return len(print_canonical(e))
+    """Character size of the canonical text; the dialect's complexity unit.
+
+    Equal to ``len(print_canonical(e))`` but counted from the structure: a
+    symbol is its name, nil is 3, a numeral its decimal digits, and a
+    non-empty list its items plus two parentheses and len(e) - 1 blanks.
+    """
+    if isinstance(e, str):
+        return len(e)
+    if not isinstance(e, tuple):
+        return _numeral_chars(e)
+    if not e:
+        return 3
+    hit = _SIZE_CACHE.get(id(e))
+    if hit is not None:
+        return hit[1]
+    total = 0
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            total += len(x)
+        elif isinstance(x, tuple):
+            if x:
+                total += 1 + len(x)
+                stack.extend(x)
+            else:
+                total += 3
+        else:
+            total += _numeral_chars(x)
+    if len(_SIZE_CACHE) >= _SIZE_CACHE_MAX:
+        _SIZE_CACHE.clear()
+    _SIZE_CACHE[id(e)] = (e, total)
+    return total
 
 
 NEWLINE_BITS = format(10, "08b")

@@ -21,6 +21,14 @@ class TestRun:
         assert code == 0
         assert out.splitlines() == ["define f", "24"]
 
+    def test_size_of_a_wide_product(self, tmp_path, capsys):
+        source = tmp_path / "wide.l"
+        nines = "9" * 2201
+        source.write_text(f"size * {nines} {nines}\n* {nines} {nines}\n")
+        code, out, _ = run_cli(capsys, "run", str(source))
+        assert code == 0
+        assert out.splitlines() == ["4402", "9" * 2200 + "8" + "0" * 2200 + "1"]
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         source = tmp_path / "bad.l"
         source.write_text("(a b")

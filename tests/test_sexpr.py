@@ -1,10 +1,13 @@
 """Reader, printer, and bit-codec tests."""
 
 import random
+import sys
 
 import pytest
 
+from sdlisp import sexpr
 from sdlisp.bits import BitStream, OutOfData
+from sdlisp.interp import Closure, Env
 from sdlisp.sexpr import (
     ArityTable,
     SExprSyntaxError,
@@ -59,6 +62,11 @@ class TestParseFull:
         assert parse_full("0") == 0
         assert parse_full("007") == 7
         assert parse_full("123456789012345678901234567890") == 123456789012345678901234567890
+
+    def test_numerals_of_any_length(self):
+        assert parse_full("9" * 5000) == 10 ** 5000 - 1
+        assert parse_full("0" * 4999 + "1") == 1
+        assert parse_implicit("+ " + "1" + "0" * 4400 + " 1") == ("+", 10 ** 4400, 1)
 
 
 class TestParseImplicit:
@@ -127,6 +135,50 @@ class TestPrinter:
     def test_numeral_sizes(self):
         assert size_chars(24) == 2
         assert size_chars(0) == 1
+
+    def test_booleans_are_rejected(self):
+        for e in (True, ("a", False)):
+            with pytest.raises(TypeError):
+                print_canonical(e)
+            with pytest.raises(TypeError):
+                size_chars(e)
+
+    @pytest.mark.parametrize("k", [1, 2, 599, 600, 601, 603, 604, 640, 641,
+                                   1024, 1025, 4300, 4301, 9000])
+    def test_wide_numerals_print_exactly(self, k):
+        for n, text in ((10 ** k - 1, "9" * k), (10 ** k, "1" + "0" * k),
+                        (10 ** k + 7, "1" + "0" * (k - 1) + "7")):
+            assert print_canonical(n) == text
+            assert size_chars(n) == len(text)
+
+    def test_deep_value_prints_and_measures(self):
+        e = ()
+        for _ in range(20000):
+            e = (e,)
+        assert print_canonical(e) == "(" * 20000 + "nil" + ")" * 20000
+        assert size_chars(e) == 40003
+        assert len(to_bits(e)) == 8 * 40004
+
+    def test_size_of_a_very_deep_value(self):
+        # hashing or comparing a tree this deep recurses on the C stack;
+        # measuring it must not
+        e = "x"
+        for _ in range(200_000):
+            e = (e,)
+        assert size_chars(e) == 400_001
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python has no int/str digit limit")
+    def test_lowest_digit_limit_setting_is_not_reached(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            n = 3 ** 5000  # 2,386 digits
+            text = print_canonical(n)
+            assert size_chars(n) == len(text) == 2386
+            assert parse_full(text) == n
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestRoundTrips:
@@ -202,3 +254,58 @@ class TestBits:
     def test_printed_zero_arity_primitive_reads_back_as_call(self):
         stream = BitStream(to_bits("read-bit"))
         assert read_exp_from_stream(stream) == ("read-bit",)
+
+
+def _wide_natural(rng):
+    roll = rng.random()
+    if roll < 0.5:
+        return rng.randrange(0, 1000)
+    k = rng.choice([1, 2, 3, 599, 600, 601, 640, 641, 1024, 1025, 4300, 4301,
+                    rng.randrange(1, 5001)])
+    if roll < 0.7:
+        return 10 ** k - 1
+    if roll < 0.85:
+        return 10 ** k
+    return rng.randrange(10 ** (k - 1), 10 ** k)
+
+
+def _random_tree(rng, closures, depth=4):
+    roll = rng.random()
+    if depth == 0 or roll < 0.4:
+        kind = rng.randrange(3)
+        if kind == 0:
+            return _wide_natural(rng)
+        if kind == 1:
+            return rng.choice(("a", "bc", "x-y-z", "'", "lambda", "+", "read-exp"))
+        return ()
+    items = tuple(_random_tree(rng, closures, depth - 1) for _ in range(rng.randrange(1, 4)))
+    if closures and rng.random() < 0.2:
+        return Closure(("lambda", ("x",), items), Env({}))
+    return items
+
+
+class TestSizeProperty:
+    """size_chars counts the structure; it must agree with the printed text."""
+
+    def test_size_agrees_with_text_and_bits(self):
+        rng = random.Random(20260)
+        for i in range(300):
+            closures = i % 2 == 1
+            e = _random_tree(rng, closures)
+            text = print_canonical(e)
+            n = size_chars(e)
+            assert n == len(text) == len(to_bits(e)) // 8 - 1
+            if not closures:
+                assert parse_full(text) == e
+            assert size_chars(e) == n  # the second call is a cache hit
+
+    def test_cache_is_keyed_by_identity_and_bounded(self):
+        a = ("a", 1)
+        b = ("a", int("1"))  # equal to a, but not the same object
+        assert a is not b
+        assert size_chars(a) == size_chars(b) == 5
+        assert sexpr._SIZE_CACHE[id(a)][0] is a
+        assert sexpr._SIZE_CACHE[id(b)][0] is b
+        for i in range(2 * sexpr._SIZE_CACHE_MAX):
+            assert size_chars(("n", i)) == 4 + len(str(i))
+        assert len(sexpr._SIZE_CACHE) <= sexpr._SIZE_CACHE_MAX

@@ -20,6 +20,7 @@ from sdlisp.sexpr import (
     print_canonical,
     read_exp_from_stream,
     size_chars,
+    to_bits,
 )
 from sdlisp.universal import LispU, run_U
 
@@ -79,6 +80,36 @@ class TestMachineTotality:
             assert result.status in ("halted", "still-running", "invalid")
             if result.halted:
                 assert result.consumed == len(p)
+
+
+class TestWideAndDeepValues:
+    """`size`, `bits`, the reader and the printer have no width or depth
+    limit of their own: host limits never leak out of a run."""
+
+    NINES = "9" * 2201  # its square has 4,402 digits, past CPython's str() cap
+
+    def run(self, text, budget):
+        return LispU().run(to_bits(parse_implicit(text)), budget)
+
+    def test_bits_of_a_wide_product(self):
+        result = self.run(f"bits * {self.NINES} {self.NINES}", 10)
+        assert result.halted
+        assert len(result.value) == 8 * 4403
+
+    def test_size_of_a_wide_product(self):
+        result = self.run(f"size * {self.NINES} {self.NINES}", 10)
+        assert result.halted and result.value == 4402
+
+    def test_wide_numeral_in_read_exp_data(self):
+        n = (10 ** 4400 - 1) // 9 * 7  # 4,400 sevens
+        result = LispU().run(to_bits(parse_implicit("read-exp")) + to_bits(n), 10)
+        assert result.halted and result.value == n
+
+    def test_size_of_a_deeply_nested_value(self):
+        result = self.run(
+            "let f (lambda (g n x) (if (= n 0) x (g g (- n 1) (cons x nil)))) "
+            "(size (f f 20000 nil))", None)
+        assert result.halted and result.value == 40003
 
 
 class TestClosuresAsData:

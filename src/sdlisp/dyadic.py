@@ -6,6 +6,8 @@ probabilities compared at bit precision cannot tolerate rounding.
 
 from __future__ import annotations
 
+from collections import Counter
+
 
 class Dyadic:
     """num / 2**exp, kept normalized (num odd or exp == 0)."""
@@ -143,4 +145,4 @@ def sum_dyadic(items) -> Dyadic:
 
 def mass(lengths) -> Dyadic:
     """Sum of 2**-k over *lengths*: the measure of programs of those sizes."""
-    return sum_dyadic(map(Dyadic.half_power, lengths))
+    return sum_dyadic(Dyadic(c, k) for k, c in Counter(lengths).items())

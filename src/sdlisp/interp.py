@@ -135,6 +135,27 @@ def _coerce_data(v: SExpr) -> str:
     return "".join("1" if b == 1 and b is not True else "0" for b in v)
 
 
+def _equal(a: SExpr, b: SExpr) -> bool:
+    """Structural equality.  Python's == recurses on the host stack, so a
+    value too deep for it is compared again with an explicit stack."""
+    try:
+        return a == b
+    except RecursionError:
+        pass
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if isinstance(x, tuple) and isinstance(y, tuple):
+            if len(x) != len(y):
+                return False
+            stack.extend(zip(x, y))
+        elif isinstance(x, tuple) or isinstance(y, tuple) or x != y:
+            return False
+    return True
+
+
 def evaluate(e: SExpr, env: Env, ctx: _Ctx) -> SExpr:
     while True:
         if type(e) is int:
@@ -185,7 +206,7 @@ def evaluate(e: SExpr, env: Env, ctx: _Ctx) -> SExpr:
             if h == "=":
                 a = evaluate(_arg(e, 1), env, ctx)
                 b = evaluate(_arg(e, 2), env, ctx)
-                return TRUE if a == b else FALSE
+                return TRUE if _equal(a, b) else FALSE
             if h == "+":
                 a = evaluate(_arg(e, 1), env, ctx)
                 b = evaluate(_arg(e, 2), env, ctx)

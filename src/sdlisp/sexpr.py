@@ -94,10 +94,7 @@ class ArityTable:
 
 _WHITESPACE = " \t\r\n"
 _SPECIAL = "()'"
-
-
-def _symbol_char(c: str) -> bool:
-    return 33 <= ord(c) <= 126 and c not in _SPECIAL
+_SYMBOL_CHARS = frozenset(chr(c) for c in range(33, 127)) - frozenset(_SPECIAL)
 
 
 class _Token:
@@ -135,10 +132,10 @@ def tokenize(text: str) -> list[_Token]:
             i += 1
             col += 1
             continue
-        if not _symbol_char(c):
+        if c not in _SYMBOL_CHARS:
             raise SExprSyntaxError(f"illegal character {c!r}", line, col)
         start = i
-        while i < n and _symbol_char(text[i]):
+        while i < n and text[i] in _SYMBOL_CHARS:
             i += 1
         tokens.append(_Token(text[start:i], line, col))
         col += i - start
@@ -151,6 +148,22 @@ def _atom(text: str) -> SExpr:
     if text == "nil":
         return NIL
     return text
+
+
+NOT_AN_ATOM = object()
+
+
+def single_atom(text: str) -> SExpr:
+    """The value of a text that is one non-primitive token between blanks,
+    which both readers read as that atom; NOT_AN_ATOM for any other text.
+
+    Uses tokenize's own character classes, so it never accepts a text the
+    readers would read differently.
+    """
+    token = text.strip(_WHITESPACE)
+    if not token or not _SYMBOL_CHARS.issuperset(token) or token in PRIMITIVE_ARITY:
+        return NOT_AN_ATOM
+    return _atom(token)
 
 
 class _Reader:
@@ -397,10 +410,19 @@ def size_chars(e: SExpr) -> int:
 NEWLINE_BITS = format(10, "08b")
 
 
+def text_bits(text: str) -> str:
+    """Each character's code as 8 bits, MSB first (wider codes in full)."""
+    try:
+        data = text.encode("latin-1")
+    except UnicodeEncodeError:
+        return "".join(format(ord(c), "08b") for c in text)
+    # a leading 1 byte keeps the leading zero bits of the first character
+    return bin(int.from_bytes(b"\x01" + data, "big"))[3:]
+
+
 def to_bits(e: SExpr) -> str:
     """Canonical text as bits, 8 per character (MSB first), newline appended."""
-    text = print_canonical(e) + "\n"
-    return "".join(format(ord(c), "08b") for c in text)
+    return text_bits(print_canonical(e) + "\n")
 
 
 def read_prefix_text(stream) -> str:

@@ -23,10 +23,14 @@ from .bits import BitStream, OutOfData, all_bitstrings, check_bits
 from .dyadic import Dyadic, sum_dyadic
 from .interp import Budget, OutOfTime, Session, evaluate
 from .sexpr import (
+    NEWLINE_BITS,
+    NOT_AN_ATOM,
     SExpr,
     SExprSyntaxError,
     parse_implicit,
     read_prefix_text,
+    single_atom,
+    text_bits,
     to_bits,
 )
 
@@ -69,10 +73,11 @@ def _parseable_texts(nchars: int) -> tuple[str, ...]:
     out = []
     for combo in product(printable, repeat=nchars):
         text = "".join(combo)
-        try:
-            parse_implicit(text)
-        except SExprSyntaxError:
-            continue
+        if single_atom(text) is NOT_AN_ATOM:
+            try:
+                parse_implicit(text)
+            except SExprSyntaxError:
+                continue
         out.append(text)
     return tuple(out)
 
@@ -84,7 +89,9 @@ class LispU:
     Equivalent to taking the value slot of
     ``try <budget> '(eval (read-exp)) p`` in a pristine session, with the
     prefix parse failure reported separately so garbage stays out of the
-    halting set.
+    halting set.  A program that is one text holding a single numeral or
+    non-primitive symbol halts after those two steps with that atom, so it
+    is settled without a session.
     """
 
     name = "lispu"
@@ -92,13 +99,21 @@ class LispU:
     exact_omega = None
 
     def run(self, program: str, budget: int | None = None) -> RunResult:
+        check_bits(program)
+        if budget is not None and budget < 2:
+            return still_running()  # (eval ...) and (read-exp) take a step each
+        n = len(program)
+        if n % 8 == 0 and program.endswith(NEWLINE_BITS):
+            text = int(program, 2).to_bytes(n // 8, "big")[:-1].decode("latin-1")
+            # no earlier newline and no control character: the whole program
+            # is the text read_prefix_text would read
+            if text.isprintable():
+                value = single_atom(text)
+                if value is not NOT_AN_ATOM:
+                    return halted(value, n)
         stream = BitStream(program)
         bud = Budget(budget)
-        try:
-            bud.charge()  # the (eval ...) form
-            bud.charge()  # the (read-exp) call
-        except OutOfTime:
-            return still_running()
+        bud.spend(2)
         try:
             text = read_prefix_text(stream)
         except OutOfData:
@@ -133,7 +148,7 @@ class LispU:
         """
         for nchars in range(1, max_len // 8):
             for text in _parseable_texts(nchars):
-                yield "".join(format(ord(c), "08b") for c in text + "\n")
+                yield text_bits(text + "\n")
 
 
 def run_U(program: str, budget: int | None = None) -> RunResult:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from sdlisp.bits import bitstrings_up_to
 from sdlisp.interp import Budget, OutOfData, OutOfTime, Session, evaluate
 from sdlisp.sexpr import parse_full, print_canonical
-from sdlisp.universal import LispU
+from sdlisp.universal import OUT_OF_DATA, LispU, RunResult, halted, invalid, still_running
 
 
 def is_doubling_codeword(p: str) -> bool:
@@ -47,6 +47,21 @@ def halted_by_suffix_enumeration(roots, k: int, budget) -> tuple[str, ...]:
     u = LispU()
     found = [r + s for r in roots for s in bitstrings_up_to(k) if u.run(r + s, budget).halted]
     return tuple(sorted(found, key=lambda p: (len(p), p)))
+
+
+def lispu_run_without_data(bits: str, budget) -> RunResult:
+    """U on a program that is one text and its newline, with no data bits,
+    as the paper defines it: the value slot of
+    ``try <budget> '(eval (read-exp)) bits`` in a fresh session.  The try
+    does not check that every bit was read, so it is only an oracle for
+    programs without data."""
+    status, payload, _ = Session().try_expression(
+        parse_full("(eval (read-exp))"), budget, bits)
+    if status == "success":
+        return halted(payload, len(bits))
+    if payload == "out-of-time":
+        return still_running()
+    return invalid(OUT_OF_DATA)
 
 
 def first_fit_by_definition(sizes) -> list[str | None]:

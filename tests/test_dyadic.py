@@ -86,6 +86,16 @@ class TestAgainstFractions:
             assert as_fraction(mass(lengths)) == sum((Fraction(1, 2 ** k) for k in lengths),
                                                      Fraction(0))
 
+    def test_mass_of_repeated_lengths(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            lengths = [rng.randrange(0, 6) for _ in range(rng.randrange(0, 300))]
+            expected = sum((Fraction(1, 2 ** k) for k in lengths), Fraction(0))
+            assert as_fraction(mass(lengths)) == expected
+            assert mass(iter(lengths)) == mass(sorted(lengths))
+        # 2^k programs of each length k up to 14: one unit per length
+        assert mass(k for k in range(15) for _ in range(2 ** k)) == Dyadic(15)
+
 
 class TestFormatting:
     def test_fraction_text(self):

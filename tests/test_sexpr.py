@@ -17,6 +17,7 @@ from sdlisp.sexpr import (
     print_canonical,
     read_exp_from_stream,
     size_chars,
+    text_bits,
     to_bits,
 )
 
@@ -219,6 +220,14 @@ class TestBits:
 
     def test_pair_prefix_is_432_bits(self):
         assert len(to_bits(parse_full(PAIR_PREFIX_TEXT))) == 432
+
+    def test_text_bits_matches_per_character_format(self):
+        rng = random.Random(12)
+        ranges = [(32, 126), (0, 255), (256, 0xFFFF), (0x10000, 0x10FFFF)]
+        for _ in range(2000):
+            text = "".join(chr(rng.randint(*rng.choice(ranges)))
+                           for _ in range(rng.randrange(0, 8)))
+            assert text_bits(text) == "".join(format(ord(c), "08b") for c in text)
 
     def test_length_law(self):
         rng = random.Random(7)

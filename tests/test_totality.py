@@ -111,6 +111,17 @@ class TestWideAndDeepValues:
             "(size (f f 20000 nil))", None)
         assert result.halted and result.value == 40003
 
+    NEST = "let f (lambda (g n x) (if (= n 0) x (g g (- n 1) (cons x nil)))) "
+
+    def test_equal_deep_values(self):
+        result = self.run(self.NEST + "(= (f f 20000 nil) (f f 20000 nil))", None)
+        assert result.halted and result.value == "true"
+
+    @pytest.mark.parametrize("other", ["(f f 20000 0)", "(f f 19999 nil)", "(f f 20001 nil)"])
+    def test_unequal_deep_values(self, other):
+        result = self.run(self.NEST + f"(= (f f 20000 nil) {other})", None)
+        assert result.halted and result.value == "false"
+
 
 class TestClosuresAsData:
     def run(self, text, session=None):

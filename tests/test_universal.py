@@ -6,8 +6,18 @@ import pytest
 
 from sdlisp.bits import bitstrings_up_to
 from sdlisp.interp import run_source
-from sdlisp.sexpr import parse_full, parse_implicit, to_bits
+from sdlisp.sexpr import (
+    NIL,
+    NOT_AN_ATOM,
+    SExprSyntaxError,
+    parse_full,
+    parse_implicit,
+    single_atom,
+    text_bits,
+    to_bits,
+)
 from sdlisp.universal import (
+    PARTIAL_CONSUMPTION,
     ComposedUniversal,
     LispU,
     ToyDoubling,
@@ -18,7 +28,7 @@ from sdlisp.universal import (
     run_U,
 )
 
-from oracles import is_doubling_codeword, toy_domain_up_to
+from oracles import is_doubling_codeword, lispu_run_without_data, toy_domain_up_to
 
 U = LispU()
 
@@ -123,6 +133,76 @@ class TestRunU:
                 assert not U.run(extension, 10_000).halted
             for cut in range(1, len(p)):
                 assert not U.run(p[:cut], 10_000).halted
+
+
+PRINTABLE = [chr(c) for c in range(32, 127)]
+SHORT_TEXTS = PRINTABLE + [a + b for a in PRINTABLE for b in PRINTABLE]
+
+
+def _parse_or_none(text):
+    try:
+        return parse_implicit(text)
+    except SExprSyntaxError:
+        return None
+
+
+class TestSingleAtom:
+    """The token check that lets U settle a lone numeral or symbol without a
+    session must agree with the reader and with the paper's definition."""
+
+    def assert_agrees_with_reader(self, text):
+        value = single_atom(text)
+        parsed = _parse_or_none(text)
+        if value is NOT_AN_ATOM:
+            # the reader gives a bare atom only for a single token
+            assert not isinstance(parsed, (int, str)), text
+        else:
+            assert type(parsed) is type(value) and parsed == value, text
+            assert isinstance(value, (int, str)) or text.strip() == "nil", text
+
+    def test_agrees_with_the_reader_on_short_texts(self):
+        for text in SHORT_TEXTS:
+            self.assert_agrees_with_reader(text)
+
+    def test_agrees_with_the_reader_on_sampled_3_char_texts(self):
+        rng = random.Random(8)
+        alphabet = PRINTABLE + ["\t", "\r", "\n", "\x7f", "\xa0", "\xe9"]
+        for _ in range(20_000):
+            self.assert_agrees_with_reader("".join(rng.choices(alphabet, k=3)))
+
+    @pytest.mark.parametrize("text", ["()", "'a", "read-bit", "car", "", "  ", "a b",
+                                      "(a)", "'", " + ", "nil)"])
+    def test_rejects(self, text):
+        assert single_atom(text) is NOT_AN_ATOM
+
+    @pytest.mark.parametrize("text, value", [("x", "x"), (" 12 ", 12), ("nil", NIL),
+                                             ("\tfoo\n", "foo"), ("007", 7), ("true", "true")])
+    def test_accepts(self, text, value):
+        assert single_atom(text) == value
+
+    def test_short_runs_match_the_paper_definition(self):
+        texts = [t for t in SHORT_TEXTS if _parse_or_none(t) is not None]
+        for text in texts + ["nil", " 12345 ", "read-bit", "read-exp", "(' x)", "+ 1 2"]:
+            bits = text_bits(text + "\n")
+            for budget in (0, 1, 2, 64, None):
+                assert U.run(bits, budget) == lispu_run_without_data(bits, budget), \
+                    (text, budget)
+
+    @pytest.mark.parametrize("text", ["\tx", "x\r", "\x7fx", "x\x00", "\xe9", "x\u0101"])
+    def test_atom_with_a_character_u_does_not_read(self, text):
+        assert U.run(text_bits(text + "\n"), 64).reason == "parse-error"
+
+    def test_atom_before_an_inner_newline_is_partial_consumption(self):
+        assert U.run(text_bits("x\ny\n"), 64).reason == PARTIAL_CONSUMPTION
+
+    @pytest.mark.parametrize("text", ["7", "x", " nil ", "12345"])
+    def test_atom_with_data_is_partial_consumption(self, text):
+        prefix = text_bits(text + "\n")
+        assert U.run(prefix, 2).halted
+        for data in bitstrings_up_to(8):
+            if data:
+                result = U.run(prefix + data, 64)
+                assert result.reason == PARTIAL_CONSUMPTION, (text, data)
 
 
 class TestToyDoubling:

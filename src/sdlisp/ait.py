@@ -10,6 +10,7 @@ the given caps unless the machine makes it decidable.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -121,34 +122,32 @@ class ExpressionSpace:
 
 @lru_cache(maxsize=None)
 def _space_of_size(space: ExpressionSpace, size: int) -> tuple:
+    # atoms, then the lists ( items ) with single blanks: a first item of k
+    # chars, then the items of a cached list of size - k - 1 chars (found
+    # after that size's atoms, which come first), or alone if k == size - 2
     out: list[SExpr] = list(space.atoms_of_size(size))
-    # lists: ( items ) with single blanks; n items of sizes k_i satisfy
-    # sum k_i + (n - 1) + 2 == size
+    for k in range(1, size - 3):
+        rests = _space_of_size(space, size - k - 1)
+        rests = rests[bisect_left(rests, True, key=lambda e: type(e) is tuple and e != NIL):]
+        out.extend((first, *rest) for first in _space_of_size(space, k) for rest in rests)
     if size >= 3:
-        def compositions(budget: int) -> Iterator[tuple]:
-            # item tuples filling exactly `budget` characters incl. blanks
-            for first_size in range(1, budget + 1):
-                for first in _space_of_size(space, first_size):
-                    if first_size == budget:
-                        yield (first,)
-                    elif first_size + 2 <= budget:
-                        for rest in compositions(budget - first_size - 1):
-                            yield (first, *rest)
-
-        out.extend(compositions(size - 2))
+        out.extend((first,) for first in _space_of_size(space, size - 2))
     return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # Character-level complexity and elegance
 
-def _evaluate_quietly(ctx, expr: SExpr, budget: int | None) -> SExpr | None:
-    """*expr*'s value within a fresh budget, or None if it ran out.
+def _evaluate_quietly(ctx, expr: SExpr, steps: int | None) -> SExpr | None:
+    """*expr*'s value within *steps* more steps of the search's one budget,
+    or None if it ran out.
 
     *ctx* is built once per search with neither captures nor emit, so
-    ``display`` output is dropped.
+    ``display`` output is dropped; its budget's ``used`` totals the search.
     """
-    ctx.budget = Budget(budget)
+    budget = ctx.budget
+    if steps is not None:
+        budget.limit = budget.used + steps
     try:
         return evaluate(expr, ctx.genv, ctx)
     except (OutOfTime, OutOfData, RecursionError):
@@ -159,7 +158,7 @@ def lisp_complexity_upper(x: SExpr, char_cap: int, budget: int | None,
                           space: ExpressionSpace | None = None) -> ComplexityRecord:
     """Smallest enumerated expression whose value is *x*."""
     space = space or ExpressionSpace()
-    ctx = Session()._ctx(None)
+    ctx = Session()._ctx(Budget(budget))
     for size in range(1, char_cap + 1):
         for expr in space.of_size(size):
             if _evaluate_quietly(ctx, expr, budget) == x:
@@ -198,7 +197,7 @@ def elegant_search(char_cap: int, budget: int | None,
     is final; elegance is always relative to the caps.
     """
     space = space or ExpressionSpace()
-    ctx = Session()._ctx(None)
+    ctx = Session()._ctx(Budget(budget))
     listing: dict = {}
     min_size: dict = {}
     elegant: list = []

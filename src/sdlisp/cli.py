@@ -265,9 +265,16 @@ def cmd_paradox(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _natural(text: str) -> int:
+    """Option type for sizes, caps, limits and budgets: a whole number >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 0, got {text!r}")
+    return int(text)
+
+
 def _add_machine_opts(sub, default="toy"):
     sub.add_argument("--machine", choices=sorted(MACHINES) + ["toy+pair"], default=default)
-    sub.add_argument("--budget", type=int, default=None)
+    sub.add_argument("--budget", type=_natural, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = verbs.add_parser("u", help="run the universal computer on a bit-string file")
     sub.add_argument("program", help="file of bits ('-' for stdin)")
-    sub.add_argument("--budget", type=int, default=None)
+    sub.add_argument("--budget", type=_natural, default=None)
     sub.set_defaults(func=cmd_u)
 
     sub = verbs.add_parser("bits", help="expression to bits, or back with --decode")
@@ -297,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("bits")
         sub.add_argument("--scheme", choices=["doubling", "header", "two-header", "elegant"],
                          default="doubling")
-        sub.add_argument("--size-cap", type=int, default=16,
+        sub.add_argument("--size-cap", type=_natural, default=16,
                          help="search cap for the elegant scheme's length program")
         _add_machine_opts(sub, default="toy-numeral")
         sub.set_defaults(func=func)
@@ -308,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = verbs.add_parser("omega", help="halting-probability lower bounds and oracles")
     _add_machine_opts(sub)
-    sub.add_argument("--max-len", type=int, default=8)
+    sub.add_argument("--max-len", type=_natural, default=8)
     sub.add_argument("--bits", type=int, default=None,
                      help="also print this many leading bits when the exact value is known")
     sub.add_argument("--force", action="store_true")
@@ -324,17 +331,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_omega)
 
     sub = verbs.add_parser("elegant", help="budget-elegant expressions up to a size cap")
-    sub.add_argument("--char-cap", type=int, default=4)
-    sub.add_argument("--budget", type=int, default=256)
-    sub.add_argument("--numeral-limit", type=int, default=None)
+    sub.add_argument("--char-cap", type=_natural, default=4)
+    sub.add_argument("--budget", type=_natural, default=256)
+    sub.add_argument("--numeral-limit", type=_natural, default=None)
     sub.add_argument("--list", action="store_true")
     sub.set_defaults(func=cmd_elegant)
 
     sub = verbs.add_parser("complexity", help="smallest found program for a target")
     sub.add_argument("target")
     sub.add_argument("--chars", action="store_true", help="search expressions, not bit programs")
-    sub.add_argument("--char-cap", type=int, default=8)
-    sub.add_argument("--size-cap", type=int, default=24)
+    sub.add_argument("--char-cap", type=_natural, default=8)
+    sub.add_argument("--size-cap", type=_natural, default=24)
     _add_machine_opts(sub)
     sub.set_defaults(func=cmd_complexity)
 
@@ -343,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("ystar", nargs="?", help="bits file of the second program")
     sub.add_argument("--info", nargs=2, metavar=("X", "Y"),
                      help="report individual/joint/mutual sizes for two values")
-    sub.add_argument("--size-cap", type=int, default=24)
+    sub.add_argument("--size-cap", type=_natural, default=24)
     _add_machine_opts(sub, default="toy+pair")
     sub.set_defaults(func=cmd_pair)
 

@@ -151,6 +151,26 @@ def brute_force_elegance(char_cap: int, budget: int | None, symbols: tuple[str, 
     return listing, min_size, elegant
 
 
+def first_witness(x, char_cap: int, budget: int | None, symbols: tuple[str, ...],
+                  numeral_limit: int | None = None):
+    """The first assembled text, sizes ascending, whose value is *x* within
+    a fresh budget, and how many texts before it ran out of time; the text
+    is None when no text up to the cap evaluates to *x*."""
+    session = Session()
+    out_of_time = 0
+    for size in range(1, char_cap + 1):
+        for text in texts_of_size(size, symbols, numeral_limit):
+            ctx = session._ctx(Budget(budget), stream=None, captures=[])
+            try:
+                if evaluate(parse_full(text), session.genv, ctx) == x:
+                    return text, out_of_time
+            except OutOfTime:
+                out_of_time += 1
+            except (OutOfData, RecursionError):
+                pass
+    return None, out_of_time
+
+
 # --- random S-expressions for round-trip properties -------------------------
 
 SAFE_ATOM_SYMBOLS = ("a", "bc", "x-y-z", "A", "foo", "b2", "zz")

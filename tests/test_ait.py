@@ -27,7 +27,7 @@ from sdlisp.interp import Session
 from sdlisp.sexpr import parse_full, parse_implicit, print_canonical, size_chars, to_bits
 from sdlisp.universal import ComposedUniversal, LispU, ToyDoubling, ToyNumeral, ToyPair
 
-from oracles import brute_force_elegance
+from oracles import brute_force_elegance, first_witness, texts_of_size
 
 TOY = ToyDoubling()
 
@@ -100,6 +100,17 @@ class TestLispComplexity:
         with pytest.raises(SearchExhausted):
             lisp_complexity_upper(10 ** 9, 3, 16)
 
+    @pytest.mark.parametrize("target", [81, parse_full("(1)")])
+    def test_witness_after_runs_out_of_time(self, target):
+        # the search shares one budget; each expression must still get
+        # exactly one step, as with a fresh budget apiece
+        space = ExpressionSpace(numeral_limit=9)
+        text, out_of_time = first_witness(target, 8, 1, space.symbols, numeral_limit=9)
+        assert out_of_time > 0
+        record = lisp_complexity_upper(target, 8, 1, space)
+        assert print_canonical(record.witness) == text
+        assert record.size == len(text)
+
 
 class TestElegance:
     def test_every_numeral_is_elegant(self):
@@ -120,6 +131,18 @@ class TestElegance:
         report = elegant_search(5, 128, space)
         listing, min_size, elegant = brute_force_elegance(
             5, 128, space.symbols, numeral_limit=9999)
+        assert report.listing == listing
+        assert report.min_size == min_size
+        assert set(report.elegant) == elegant
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 3])
+    def test_matches_brute_force_oracle_at_small_budgets(self, budget):
+        # runs out of time are common here, and the oracle gives each
+        # expression a fresh budget: no step may leak between expressions
+        space = ExpressionSpace(numeral_limit=9)
+        report = elegant_search(8, budget, space)
+        listing, min_size, elegant = brute_force_elegance(
+            8, budget, space.symbols, numeral_limit=9)
         assert report.listing == listing
         assert report.min_size == min_size
         assert set(report.elegant) == elegant
@@ -161,6 +184,17 @@ class TestExpressionSpace:
         sized = [(size, e) for size in range(1, cap + 1) for e in space.of_size(size)]
         assert sized
         assert all(size_chars(e) == size for size, e in sized)
+
+    @pytest.mark.parametrize("space, cap", [
+        (ExpressionSpace(), 5),
+        (ExpressionSpace(numeral_limit=9), 8),
+        (ExpressionSpace(symbols=("nil", "ab", "x", "+"), numeral_limit=3), 11),
+    ])
+    def test_of_size_keeps_the_oracle_order(self, space, cap):
+        # the elegant tuple and the CLI's --list follow this order
+        for size in range(1, cap + 1):
+            texts = texts_of_size(size, space.symbols, space.numeral_limit)
+            assert space.of_size(size) == tuple(map(parse_full, texts))
 
     def test_repeated_symbols_enumerate_once(self):
         once = ExpressionSpace(symbols=("a",), numeral_limit=0)

@@ -258,6 +258,32 @@ class TestUsage:
             main(["u", "--frog", "x"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["omega", "--machine", "toy", "--max-len", "-3"],
+        ["omega", "--machine", "toy", "--budget", "-5"],
+        ["elegant", "--char-cap", "-1"],
+        ["elegant", "--numeral-limit", "-1"],
+        ["elegant", "--budget", "many"],
+        ["complexity", "3", "--chars", "--char-cap", "-2"],
+        ["complexity", "3", "--size-cap", "-2"],
+        ["encode", "01", "--scheme", "elegant", "--size-cap", "-1"],
+        ["pair", "--info", "1", "2", "--size-cap", "-4"],
+        ["u", "-", "--budget", "-1"],
+    ])
+    def test_negative_sizes_and_budgets_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "expected a whole number >= 0" in capsys.readouterr().err
+
+    def test_zero_sizes_and_budgets_are_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "omega", "--machine", "toy", "--max-len", "0",
+                               "--budget", "0")
+        assert code == 0 and "(dyadic 0)" in out
+        code, out, _ = run_cli(capsys, "elegant", "--char-cap", "0", "--budget", "0",
+                               "--numeral-limit", "0")
+        assert code == 0 and "expressions evaluated: 0" in out
+
     def test_parse_errors_carry_positions(self, tmp_path, capsys):
         source = tmp_path / "bad.l"
         source.write_text("(a\nb))")

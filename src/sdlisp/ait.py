@@ -150,7 +150,7 @@ def _evaluate_quietly(ctx, expr: SExpr, steps: int | None) -> SExpr | None:
         budget.limit = budget.used + steps
     try:
         return evaluate(expr, ctx.genv, ctx)
-    except (OutOfTime, OutOfData, RecursionError):
+    except (OutOfTime, OutOfData):
         return None
 
 

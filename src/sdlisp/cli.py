@@ -316,18 +316,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = verbs.add_parser("omega", help="halting-probability lower bounds and oracles")
     _add_machine_opts(sub)
     sub.add_argument("--max-len", type=_natural, default=8)
-    sub.add_argument("--bits", type=int, default=None,
+    sub.add_argument("--bits", type=_natural, default=None,
                      help="also print this many leading bits when the exact value is known")
     sub.add_argument("--force", action="store_true")
     sub.add_argument("--count-file", default=None,
                      help="classify these programs given --count of them halt")
-    sub.add_argument("--count", type=int, default=0)
-    sub.add_argument("--oracle", type=int, default=None,
+    sub.add_argument("--count", type=_natural, default=0)
+    sub.add_argument("--oracle", type=_natural, default=None,
                      help="classify all programs up to this length from the exact value")
     sub.add_argument("--omega", default=None, help="override the exact value, e.g. 1/2")
-    sub.add_argument("--prime", type=int, default=None,
+    sub.add_argument("--prime", type=_natural, default=None,
                      help="budgeted lower bound on the information-content sum over 0..N")
-    sub.add_argument("--max-rounds", type=int, default=64)
+    sub.add_argument("--max-rounds", type=_natural, default=64)
     sub.set_defaults(func=cmd_omega)
 
     sub = verbs.add_parser("elegant", help="budget-elegant expressions up to a size cap")

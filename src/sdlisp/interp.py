@@ -20,6 +20,14 @@ lambda list arriving as data is applied over the global environment.
 ``eval`` likewise evaluates in the session's global environment (primitives
 plus top-level defines, no local bindings), which keeps programs fed to the
 universal computer independent of where they are evaluated.
+
+Nesting depth is counted like steps: an argument, a condition or the
+expression a ``try`` runs is one level deeper, a tail position (``if``
+branches, ``let`` and lambda bodies, ``eval``) is not.  A non-atomic
+expression more than :data:`MAX_DEPTH` levels deep ends the run out-of-time
+(:class:`DepthExceeded`); the innermost enclosing ``try`` returns that as
+``(failure out-of-time ...)`` whatever its limit.  So an outcome depends on
+the program, its data and its budget, never on the caller's host stack.
 """
 
 from __future__ import annotations
@@ -40,9 +48,13 @@ from .sexpr import (
     to_bits,
 )
 
-# Deep non-tail recursion in evaluated programs maps onto the host stack;
-# tail calls (if branches, let and lambda bodies, eval) do not.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 10000))
+# A level costs at most two host frames (evaluate, and _try's for a try;
+# nothing else recurses on nesting).  Session makes room for them plus 2,000
+# frames of caller headroom, 10,000 in all, which CPython 3.10 and 3.11 run
+# on a default stack; a caller deeper than that gets Python's own stack
+# error, never a different outcome.
+MAX_DEPTH = 4000
+_RECURSION_LIMIT = 2 * MAX_DEPTH + 2000
 
 TRUE = "true"
 FALSE = "false"
@@ -55,6 +67,10 @@ NO_TIME_LIMIT = "no-time-limit"
 
 class OutOfTime(Exception):
     """Raised when the step budget is exhausted."""
+
+
+class DepthExceeded(OutOfTime):
+    """Raised when evaluation nests more than MAX_DEPTH levels deep."""
 
 
 class Budget:
@@ -136,12 +152,10 @@ def _coerce_data(v: SExpr) -> str:
 
 
 def _equal(a: SExpr, b: SExpr) -> bool:
-    """Structural equality.  Python's == recurses on the host stack, so a
-    value too deep for it is compared again with an explicit stack."""
-    try:
+    """Structural equality.  Python's == on two tuples recurses on the host
+    stack, so lists are compared with an explicit stack."""
+    if not (isinstance(a, tuple) and isinstance(b, tuple)):
         return a == b
-    except RecursionError:
-        pass
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
@@ -156,7 +170,7 @@ def _equal(a: SExpr, b: SExpr) -> bool:
     return True
 
 
-def evaluate(e: SExpr, env: Env, ctx: _Ctx) -> SExpr:
+def evaluate(e: SExpr, env: Env, ctx: _Ctx, depth: int = 0) -> SExpr:
     while True:
         if type(e) is int:
             return e
@@ -170,6 +184,8 @@ def evaluate(e: SExpr, env: Env, ctx: _Ctx) -> SExpr:
         if e == ():
             return NIL
 
+        if depth > MAX_DEPTH:
+            raise DepthExceeded()
         ctx.budget.charge()
         head = e[0]
         if type(head) is str and head in PRIMITIVE_ARITY:
@@ -177,58 +193,58 @@ def evaluate(e: SExpr, env: Env, ctx: _Ctx) -> SExpr:
             if h == QUOTE:
                 return _arg(e, 1)
             if h == "if":
-                cond = evaluate(_arg(e, 1), env, ctx)
+                cond = evaluate(_arg(e, 1), env, ctx, depth + 1)
                 e = _arg(e, 2) if cond != FALSE else _arg(e, 3)
                 continue
             if h == "car":
-                v = evaluate(_arg(e, 1), env, ctx)
+                v = evaluate(_arg(e, 1), env, ctx, depth + 1)
                 return v[0] if isinstance(v, tuple) and v else v
             if h == "cdr":
-                v = evaluate(_arg(e, 1), env, ctx)
+                v = evaluate(_arg(e, 1), env, ctx, depth + 1)
                 return v[1:] if isinstance(v, tuple) and v else v
             if h == "cadr":
-                v = evaluate(_arg(e, 1), env, ctx)
+                v = evaluate(_arg(e, 1), env, ctx, depth + 1)
                 v = v[1:] if isinstance(v, tuple) and v else v
                 return v[0] if isinstance(v, tuple) and v else v
             if h == "cons":
-                a = evaluate(_arg(e, 1), env, ctx)
-                d = evaluate(_arg(e, 2), env, ctx)
+                a = evaluate(_arg(e, 1), env, ctx, depth + 1)
+                d = evaluate(_arg(e, 2), env, ctx, depth + 1)
                 return (a, *d) if isinstance(d, tuple) else (a,)
             if h == "append":
-                a = evaluate(_arg(e, 1), env, ctx)
-                b = evaluate(_arg(e, 2), env, ctx)
+                a = evaluate(_arg(e, 1), env, ctx, depth + 1)
+                b = evaluate(_arg(e, 2), env, ctx, depth + 1)
                 la = a if isinstance(a, tuple) else ()
                 lb = b if isinstance(b, tuple) else ()
                 return la + lb
             if h == "atom":
-                v = evaluate(_arg(e, 1), env, ctx)
+                v = evaluate(_arg(e, 1), env, ctx, depth + 1)
                 return FALSE if isinstance(v, tuple) and v else TRUE
             if h == "=":
-                a = evaluate(_arg(e, 1), env, ctx)
-                b = evaluate(_arg(e, 2), env, ctx)
+                a = evaluate(_arg(e, 1), env, ctx, depth + 1)
+                b = evaluate(_arg(e, 2), env, ctx, depth + 1)
                 return TRUE if _equal(a, b) else FALSE
             if h == "+":
-                a = evaluate(_arg(e, 1), env, ctx)
-                b = evaluate(_arg(e, 2), env, ctx)
+                a = evaluate(_arg(e, 1), env, ctx, depth + 1)
+                b = evaluate(_arg(e, 2), env, ctx, depth + 1)
                 return _nat(a) + _nat(b)
             if h == "-":
-                a = evaluate(_arg(e, 1), env, ctx)
-                b = evaluate(_arg(e, 2), env, ctx)
+                a = evaluate(_arg(e, 1), env, ctx, depth + 1)
+                b = evaluate(_arg(e, 2), env, ctx, depth + 1)
                 return max(0, _nat(a) - _nat(b))
             if h == "*":
-                a = evaluate(_arg(e, 1), env, ctx)
-                b = evaluate(_arg(e, 2), env, ctx)
+                a = evaluate(_arg(e, 1), env, ctx, depth + 1)
+                b = evaluate(_arg(e, 2), env, ctx, depth + 1)
                 return _nat(a) * _nat(b)
             if h == "<":
-                a = evaluate(_arg(e, 1), env, ctx)
-                b = evaluate(_arg(e, 2), env, ctx)
+                a = evaluate(_arg(e, 1), env, ctx, depth + 1)
+                b = evaluate(_arg(e, 2), env, ctx, depth + 1)
                 return TRUE if _nat(a) < _nat(b) else FALSE
             if h == "size":
-                return size_chars(evaluate(_arg(e, 1), env, ctx))
+                return size_chars(evaluate(_arg(e, 1), env, ctx, depth + 1))
             if h == "bits":
-                return bits_to_sexpr(to_bits(evaluate(_arg(e, 1), env, ctx)))
+                return bits_to_sexpr(to_bits(evaluate(_arg(e, 1), env, ctx, depth + 1)))
             if h == "display":
-                v = evaluate(_arg(e, 1), env, ctx)
+                v = evaluate(_arg(e, 1), env, ctx, depth + 1)
                 if ctx.captures is not None:
                     ctx.captures.append(v)
                 elif ctx.emit is not None:
@@ -238,7 +254,7 @@ def evaluate(e: SExpr, env: Env, ctx: _Ctx) -> SExpr:
                 return e if isinstance(e, Closure) else Closure(e, env)
             if h == "let":
                 name = _arg(e, 1)
-                value = evaluate(_arg(e, 2), env, ctx)
+                value = evaluate(_arg(e, 2), env, ctx, depth + 1)
                 if isinstance(name, str):
                     env = Env({name: value}, env)
                 e = _arg(e, 3)
@@ -251,7 +267,7 @@ def evaluate(e: SExpr, env: Env, ctx: _Ctx) -> SExpr:
                     return sig[0]
                 return sig if isinstance(sig, str) else NIL
             if h == "eval":
-                e = evaluate(_arg(e, 1), env, ctx)
+                e = evaluate(_arg(e, 1), env, ctx, depth + 1)
                 env = ctx.genv
                 continue
             if h == "read-bit":
@@ -268,21 +284,21 @@ def evaluate(e: SExpr, env: Env, ctx: _Ctx) -> SExpr:
                     # data; the outcome vocabulary stays closed.
                     raise OutOfData(str(exc)) from exc
             if h == "try":
-                limit = evaluate(_arg(e, 1), env, ctx)
-                tried = evaluate(_arg(e, 2), env, ctx)
-                data = evaluate(_arg(e, 3), env, ctx)
-                return _try(tried, limit, _coerce_data(data), ctx)
+                limit = evaluate(_arg(e, 1), env, ctx, depth + 1)
+                tried = evaluate(_arg(e, 2), env, ctx, depth + 1)
+                data = evaluate(_arg(e, 3), env, ctx, depth + 1)
+                return _try(tried, limit, _coerce_data(data), ctx, depth + 1)
             if h == "run-utm-on":
                 e = ("cadr", ("try", NO_TIME_LIMIT, (QUOTE, ("eval", ("read-exp",))), _arg(e, 1)))
                 continue
             raise AssertionError(f"unhandled primitive {h}")
 
-        f = evaluate(head, env, ctx)
+        f = evaluate(head, env, ctx, depth + 1)
         if isinstance(f, tuple) and len(f) == 3 and f[0] == "lambda":
             params = f[1] if isinstance(f[1], tuple) else ()
             frame = {}
             for i, p in enumerate(params):
-                v = evaluate(_arg(e, 1 + i), env, ctx)
+                v = evaluate(_arg(e, 1 + i), env, ctx, depth + 1)
                 if isinstance(p, str):
                     frame[p] = v
             env = Env(frame, f.env if isinstance(f, Closure) else ctx.genv)
@@ -291,12 +307,13 @@ def evaluate(e: SExpr, env: Env, ctx: _Ctx) -> SExpr:
         return NIL
 
 
-def _try(expr: SExpr, limit: SExpr, data: str, ctx: _Ctx) -> SExpr:
+def _try(expr: SExpr, limit: SExpr, data: str, ctx: _Ctx, depth: int = 0) -> SExpr:
     """Run *expr* in a fresh global environment over its own data stream.
 
     Returns the outcome triple.  Out-of-time is a value of this TRY only
-    when the declared limit itself was hit; exhausting the enclosing budget
-    propagates, which is what keeps success budget-monotone.
+    when the declared limit itself was hit, or when *expr* nested too deep;
+    exhausting the enclosing budget propagates, which is what keeps success
+    budget-monotone.
     """
     if type(limit) is int:
         declared = limit
@@ -316,13 +333,12 @@ def _try(expr: SExpr, limit: SExpr, data: str, ctx: _Ctx) -> SExpr:
     captures: list[SExpr] = []
     inner = _Ctx(inner_budget, BitStream(data), captures, ctx.genv, ctx.table)
     try:
-        value = evaluate(expr, ctx.genv, inner)
+        value = evaluate(expr, ctx.genv, inner, depth)
+    except DepthExceeded:
+        return (FAILURE, OUT_OF_TIME, tuple(captures))
     except OutOfTime:
         if inner_budget is parent or inner_budget.limit < declared:
             raise
-        return (FAILURE, OUT_OF_TIME, tuple(captures))
-    except RecursionError:
-        # The host stack is a resource too; treat exhausting it as time.
         return (FAILURE, OUT_OF_TIME, tuple(captures))
     except OutOfData:
         return (FAILURE, OUT_OF_DATA, tuple(captures))
@@ -336,6 +352,10 @@ class Session:
     """A top-level environment: primitives plus accumulated defines."""
 
     def __init__(self, emit=None):
+        # every evaluation runs in a session, so this is the one place the
+        # host stack is made deep enough for MAX_DEPTH; it is never lowered
+        if sys.getrecursionlimit() < _RECURSION_LIMIT:
+            sys.setrecursionlimit(_RECURSION_LIMIT)
         self.genv = Env({})
         self.table = ArityTable()
         self.emit = emit
@@ -370,21 +390,22 @@ class Session:
         """Evaluate top-level forms in order.
 
         Returns (kind, payload) pairs: ("define", name) for bindings,
-        ("value", v) for results, ("error", atom) for a form that ran out
-        of data at the top level.
+        ("value", v) for results, ("error", atom) for a form, define or
+        not, that ran out of data or time at the top level; such a define
+        binds nothing.
         """
         results: list[tuple[str, SExpr]] = []
         for form in iter_forms(text, self.table):
-            if isinstance(form, tuple) and form[:1] == ("define",):
-                name = self.define(form)
-                results.append(("define", name if name is not None else NIL))
-                continue
             try:
-                results.append(("value", self.evaluate(form)))
+                if isinstance(form, tuple) and form[:1] == ("define",):
+                    name = self.define(form)
+                    results.append(("define", name if name is not None else NIL))
+                else:
+                    results.append(("value", self.evaluate(form)))
             except OutOfData:
                 results.append(("error", OUT_OF_DATA))
-            except RecursionError:
-                results.append(("error", "stack-overflow"))
+            except OutOfTime:
+                results.append(("error", OUT_OF_TIME))
         return results
 
 

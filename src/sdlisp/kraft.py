@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
+from .bits import check_bits
 from .dyadic import Dyadic, mass
 from .sexpr import SExpr
 from .universal import OUT_OF_DATA, PARSE_ERROR, PARTIAL_CONSUMPTION, RunResult, halted, invalid
@@ -86,7 +87,7 @@ class KraftMachine:
         self.exact_omega = mass(len(codeword) for codeword, _ in self.assignments)
 
     def run(self, program: str, budget: int | None = None) -> RunResult:
-        if program in self.outputs:
+        if check_bits(program) in self.outputs:
             return halted(self.outputs[program], len(program))
         # Only the predecessor can be a prefix of the program, and if any
         # codeword extends it, the successor does.

@@ -190,67 +190,68 @@ class _Reader:
     def _peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    # Plain reader: parentheses build lists, nothing consumes by arity.
-    def read_plain(self) -> SExpr:
-        tok = self._next()
-        if tok.text == "(":
-            items = []
-            while True:
-                nxt = self._peek()
-                if nxt is None:
-                    raise SExprSyntaxError("unbalanced parenthesis", tok.line, tok.col)
-                if nxt.text == ")":
+    def read(self, plain: bool) -> tuple[SExpr, bool]:
+        """Read one expression.  The plain reader builds lists from
+        parentheses only; the arity reader also lets a symbol of known arity
+        consume the expressions after it.  Returns (expression, built by
+        arity); the flag lets grouping parentheses around one application
+        drop out.
+        """
+        # The forms still open, innermost last: [open-paren token, items,
+        # flag of the last item] for a group, [head, args, arity] for an
+        # application.  An explicit stack, so text of any depth reads.
+        stack: list[list] = []
+        while True:
+            tok = self._next()
+            if tok.text == "(":
+                stack.append([tok, [], False])
+                value = None
+            elif tok.text == ")":
+                raise SExprSyntaxError("unexpected ')'", tok.line, tok.col)
+            elif tok.text == QUOTE and tok.attached:
+                stack.append([QUOTE, [], 1])
+                continue
+            else:  # a free-standing ' is a symbol, of arity 1 to the arity reader
+                a = _atom(tok.text)
+                k = None if plain or not isinstance(a, str) else self.table.arity(a)
+                if k is None:
+                    value = (a, False)
+                elif k == 0:
+                    value = ((a,), True)
+                else:
+                    stack.append([a, [], k])
+                    continue
+            # hand the value to the forms it completes
+            while stack:
+                top = stack[-1]
+                if isinstance(top[0], _Token):
+                    if value is not None:
+                        top[1].append(value[0])
+                        top[2] = value[1]
+                    nxt = self._peek()
+                    if nxt is None:
+                        raise SExprSyntaxError("unbalanced parenthesis", top[0].line, top[0].col)
+                    if nxt.text != ")":
+                        break
                     self.pos += 1
-                    return tuple(items)
-                items.append(self.read_plain())
-        if tok.text == ")":
-            raise SExprSyntaxError("unexpected ')'", tok.line, tok.col)
-        if tok.text == QUOTE:
-            if tok.attached:
-                return (QUOTE, self.read_plain())
-            return QUOTE
-        return _atom(tok.text)
-
-    # Arity-driven reader.  Returns (expression, built-by-arity flag); the
-    # flag is what lets grouping parentheses around one application drop out.
-    def read_arity(self) -> tuple[SExpr, bool]:
-        tok = self._next()
-        if tok.text == "(":
-            items = []
-            built = []
-            while True:
-                nxt = self._peek()
-                if nxt is None:
-                    raise SExprSyntaxError("unbalanced parenthesis", tok.line, tok.col)
-                if nxt.text == ")":
-                    self.pos += 1
-                    break
-                e, b = self.read_arity()
-                items.append(e)
-                built.append(b)
-            if len(items) == 1 and built[0]:
-                return items[0], False
-            return tuple(items), False
-        if tok.text == ")":
-            raise SExprSyntaxError("unexpected ')'", tok.line, tok.col)
-        if tok.text == QUOTE:
-            arg, _ = self.read_arity()
-            return (QUOTE, arg), True
-        a = _atom(tok.text)
-        if isinstance(a, str):
-            k = self.table.arity(a)
-            if k is not None:
-                if a == "define":
-                    sig, _ = self.read_arity()
+                    stack.pop()
+                    _, items, built = top
+                    value = (items[0] if len(items) == 1 and built else tuple(items), False)
+                    continue
+                head, args, k = top
+                args.append(value[0])
+                if head == "define" and len(args) == 1:
+                    sig = args[0]
                     if isinstance(sig, tuple) and sig and isinstance(sig[0], str):
                         # Register the arity up front so the body may call
                         # the function being defined without parentheses.
                         self.table.define(sig[0], len(sig) - 1)
-                    body, _ = self.read_arity()
-                    return ("define", sig, body), True
-                args = [self.read_arity()[0] for _ in range(k)]
-                return (a, *args), True
-        return a, False
+                if len(args) < k:
+                    break
+                stack.pop()
+                value = ((head, *args), not plain)
+            else:
+                return value
 
 
 def parse_full(text: str) -> SExpr:
@@ -258,7 +259,7 @@ def parse_full(text: str) -> SExpr:
     reader = _Reader(tokenize(text))
     if reader.at_end():
         raise SExprSyntaxError("empty input")
-    expr = reader.read_plain()
+    expr, _ = reader.read(plain=True)
     if not reader.at_end():
         tok = reader.tokens[reader.pos]
         raise SExprSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
@@ -270,7 +271,7 @@ def parse_implicit(text: str, table: ArityTable | None = None) -> SExpr:
     reader = _Reader(tokenize(text), table)
     if reader.at_end():
         raise SExprSyntaxError("empty input")
-    expr, _ = reader.read_arity()
+    expr, _ = reader.read(plain=False)
     if not reader.at_end():
         tok = reader.tokens[reader.pos]
         raise SExprSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
@@ -285,7 +286,7 @@ def iter_forms(text: str, table: ArityTable | None = None) -> Iterator[SExpr]:
     """
     reader = _Reader(tokenize(text), table)
     while not reader.at_end():
-        yield reader.read_arity()[0]
+        yield reader.read(plain=False)[0]
 
 
 # CPython refuses int<->str conversions wider than

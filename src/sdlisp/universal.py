@@ -128,7 +128,7 @@ class LispU:
         ctx = session._ctx(bud, stream=stream, captures=[])
         try:
             value = evaluate(expr, session.genv, ctx)
-        except (OutOfTime, RecursionError):
+        except OutOfTime:
             return still_running()
         except OutOfData as exc:
             # read-exp on undecodable data: no extension can mend it
@@ -279,6 +279,7 @@ class ComposedUniversal:
             self.exact_omega = None
 
     def run(self, program: str, budget: int | None = None) -> RunResult:
+        check_bits(program)
         k = 0
         while k < len(program) and program[k] == "0":
             k += 1

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written as a separate code path from the
 package: membership is decided declaratively, sums use fractions.Fraction
-instead of the package's dyadic type, and the expression enumerator works
-on character strings through the parser instead of building trees.
+instead of the package's dyadic type, the expression enumerator works
+on character strings through the parser instead of building trees, and the
+reference readers recurse on nesting where the package's keep a stack.
 """
 
 from __future__ import annotations
@@ -13,7 +14,15 @@ from functools import lru_cache
 
 from sdlisp.bits import bitstrings_up_to
 from sdlisp.interp import Budget, OutOfData, OutOfTime, Session, evaluate
-from sdlisp.sexpr import parse_full, print_canonical
+from sdlisp.sexpr import (
+    QUOTE,
+    ArityTable,
+    SExprSyntaxError,
+    _atom,
+    parse_full,
+    print_canonical,
+    tokenize,
+)
 from sdlisp.universal import OUT_OF_DATA, LispU, RunResult, halted, invalid, still_running
 
 
@@ -139,7 +148,7 @@ def brute_force_elegance(char_cap: int, budget: int | None, symbols: tuple[str, 
             ctx = session._ctx(Budget(budget), stream=None, captures=[])
             try:
                 value = evaluate(expr, session.genv, ctx)
-            except (OutOfTime, OutOfData, RecursionError):
+            except (OutOfTime, OutOfData):
                 continue
             listing[expr] = value
             if value not in min_size:
@@ -166,7 +175,7 @@ def first_witness(x, char_cap: int, budget: int | None, symbols: tuple[str, ...]
                     return text, out_of_time
             except OutOfTime:
                 out_of_time += 1
-            except (OutOfData, RecursionError):
+            except OutOfData:
                 pass
     return None, out_of_time
 
@@ -206,3 +215,117 @@ def random_any_sexpr(rng, depth: int = 3):
             return rng.choice(sorted(PRIMITIVE_ARITY))
         return ()
     return tuple(random_any_sexpr(rng, depth - 1) for _ in range(rng.randrange(1, 4)))
+
+
+# --- reference readers -------------------------------------------------------
+
+class RecursiveReader:
+    """The readers written as one recursive call per nested expression; the
+    package's stack-based reader must agree with them on every text they
+    can read without exhausting the host stack."""
+
+    def __init__(self, text: str, table: ArityTable | None = None):
+        self.tokens = tokenize(text)
+        self.pos = 0
+        self.table = table or ArityTable()
+
+    def at_end(self) -> bool:
+        return self.pos >= len(self.tokens)
+
+    def _next(self):
+        if self.at_end():
+            last = self.tokens[-1] if self.tokens else None
+            raise SExprSyntaxError(
+                "unexpected end of input",
+                last.line if last else 1,
+                last.col if last else 1,
+            )
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def _peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def read_plain(self):
+        tok = self._next()
+        if tok.text == "(":
+            items = []
+            while True:
+                nxt = self._peek()
+                if nxt is None:
+                    raise SExprSyntaxError("unbalanced parenthesis", tok.line, tok.col)
+                if nxt.text == ")":
+                    self.pos += 1
+                    return tuple(items)
+                items.append(self.read_plain())
+        if tok.text == ")":
+            raise SExprSyntaxError("unexpected ')'", tok.line, tok.col)
+        if tok.text == QUOTE:
+            if tok.attached:
+                return (QUOTE, self.read_plain())
+            return QUOTE
+        return _atom(tok.text)
+
+    def read_arity(self):
+        tok = self._next()
+        if tok.text == "(":
+            items = []
+            built = []
+            while True:
+                nxt = self._peek()
+                if nxt is None:
+                    raise SExprSyntaxError("unbalanced parenthesis", tok.line, tok.col)
+                if nxt.text == ")":
+                    self.pos += 1
+                    break
+                e, b = self.read_arity()
+                items.append(e)
+                built.append(b)
+            if len(items) == 1 and built[0]:
+                return items[0], False
+            return tuple(items), False
+        if tok.text == ")":
+            raise SExprSyntaxError("unexpected ')'", tok.line, tok.col)
+        if tok.text == QUOTE:
+            arg, _ = self.read_arity()
+            return (QUOTE, arg), True
+        a = _atom(tok.text)
+        if isinstance(a, str):
+            k = self.table.arity(a)
+            if k is not None:
+                if a == "define":
+                    sig, _ = self.read_arity()
+                    if isinstance(sig, tuple) and sig and isinstance(sig[0], str):
+                        self.table.define(sig[0], len(sig) - 1)
+                    body, _ = self.read_arity()
+                    return ("define", sig, body), True
+                args = [self.read_arity()[0] for _ in range(k)]
+                return (a, *args), True
+        return a, False
+
+    def _one(self, expr):
+        if not self.at_end():
+            tok = self.tokens[self.pos]
+            raise SExprSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
+        return expr
+
+
+def parse_full_reference(text: str):
+    reader = RecursiveReader(text)
+    if reader.at_end():
+        raise SExprSyntaxError("empty input")
+    return reader._one(reader.read_plain())
+
+
+def parse_implicit_reference(text: str, table: ArityTable | None = None):
+    reader = RecursiveReader(text, table)
+    if reader.at_end():
+        raise SExprSyntaxError("empty input")
+    return reader._one(reader.read_arity()[0])
+
+
+def iter_forms_reference(text: str, table: ArityTable | None = None):
+    reader = RecursiveReader(text, table)
+    while not reader.at_end():
+        yield reader.read_arity()[0]

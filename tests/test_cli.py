@@ -21,6 +21,20 @@ class TestRun:
         assert code == 0
         assert out.splitlines() == ["define f", "24"]
 
+    def test_define_out_of_data_is_an_error_line(self, tmp_path, capsys):
+        source = tmp_path / "define.l"
+        source.write_text("(define x (read-bit)) 5\n")
+        code, out, err = run_cli(capsys, "run", str(source))
+        assert code == 0
+        assert out.splitlines() == ["5"]
+        assert err.splitlines() == ["error out-of-data"]
+
+    def test_size_of_deeply_nested_text(self, tmp_path, capsys):
+        source = tmp_path / "deep.l"
+        source.write_text("size '" + "(" * 20000 + ")" * 20000 + "\n")
+        code, out, _ = run_cli(capsys, "run", str(source))
+        assert code == 0 and out.splitlines() == ["40001"]
+
     def test_size_of_a_wide_product(self, tmp_path, capsys):
         source = tmp_path / "wide.l"
         nines = "9" * 2201
@@ -269,6 +283,11 @@ class TestUsage:
         ["encode", "01", "--scheme", "elegant", "--size-cap", "-1"],
         ["pair", "--info", "1", "2", "--size-cap", "-4"],
         ["u", "-", "--budget", "-1"],
+        ["omega", "--machine", "toy", "--bits", "-3"],
+        ["omega", "--machine", "toy", "--oracle", "-2"],
+        ["omega", "--machine", "toy", "--prime", "-2"],
+        ["omega", "--machine", "toy", "--count-file", "-", "--count", "-1"],
+        ["omega", "--machine", "toy", "--oracle", "4", "--max-rounds", "-1"],
     ])
     def test_negative_sizes_and_budgets_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as info:

@@ -149,6 +149,12 @@ class TestRunSource:
     def test_top_level_read_is_reported(self):
         assert run_source("read-bit") == [("error", "out-of-data")]
 
+    def test_define_that_runs_out_of_data_binds_nothing(self):
+        assert run_source("(define x (read-bit)) x 5") == [
+            ("error", "out-of-data"), ("value", "x"), ("value", 5)]
+        assert run_source("define x 1\ndefine x read-exp\nx") == [
+            ("define", "x"), ("error", "out-of-data"), ("value", 1)]
+
     def test_top_level_display_emits(self):
         seen = []
         session = Session(emit=seen.append)

@@ -21,7 +21,13 @@ from sdlisp.sexpr import (
     to_bits,
 )
 
-from oracles import random_any_sexpr, random_data_sexpr
+from oracles import (
+    iter_forms_reference,
+    parse_full_reference,
+    parse_implicit_reference,
+    random_any_sexpr,
+    random_data_sexpr,
+)
 
 PAIR_PREFIX_TEXT = "(cons (eval (read-exp)) (cons (eval (read-exp)) nil))"
 
@@ -318,3 +324,89 @@ class TestSizeProperty:
         for i in range(2 * sexpr._SIZE_CACHE_MAX):
             assert size_chars(("n", i)) == 4 + len(str(i))
         assert len(sexpr._SIZE_CACHE) <= sexpr._SIZE_CACHE_MAX
+
+
+def _outcome(read):
+    """What a reader gives: its value, or the text of its syntax error."""
+    try:
+        return "value", read()
+    except SExprSyntaxError as exc:
+        return "error", str(exc)
+
+
+def _forms_outcome(forms):
+    """The forms read before a syntax error, and the error's text if any."""
+    out = []
+    try:
+        for form in forms:
+            out.append(form)
+    except SExprSyntaxError as exc:
+        return out, str(exc)
+    return out, None
+
+
+class TestStackReader:
+    """The readers keep their own stack: the same values and errors as the
+    recursive reference readers, at any nesting depth."""
+
+    PIECES = ["(", "(", ")", ")", "'", "' ", "define", "(f x)", "(g)", "f", "g", "x",
+              "a", "0", "12", "nil", "+", "car", "cons", "if", "lambda", "let", "=",
+              "size", "read-exp", "read-bit", "try", "eval", "display"]
+
+    def _soup(self, rng):
+        """Pieces up to 50 parentheses deep, usually in one outer group and
+        balanced, sometimes with a stray or a missing parenthesis."""
+        parts, open_parens = ["("], 1
+        for _ in range(rng.randrange(0, 60)):
+            piece = rng.choice(self.PIECES)
+            if piece == "(" and open_parens < 50:
+                open_parens += 1
+            elif piece == ")" and (open_parens > 1 or rng.random() < 0.05):
+                open_parens -= 1
+            elif piece in "()":
+                continue
+            parts.append(piece)
+            parts.append(rng.choice(["", " ", " ", "\n"]))
+        parts.append(")" * max(0, open_parens - (rng.random() < 0.1)))
+        if rng.random() < 0.2:
+            parts[0] = ""
+        return "".join(parts)
+
+    def test_random_soup_matches_the_recursive_reference(self):
+        rng = random.Random(60221)
+        for _ in range(3000):
+            text = self._soup(rng)
+            assert _outcome(lambda: parse_full(text)) == \
+                _outcome(lambda: parse_full_reference(text)), text
+            assert _outcome(lambda: parse_implicit(text)) == \
+                _outcome(lambda: parse_implicit_reference(text)), text
+            table, ref_table = ArityTable(), ArityTable()
+            assert _forms_outcome(iter_forms(text, table)) == \
+                _forms_outcome(iter_forms_reference(text, ref_table)), text
+            assert table.user == ref_table.user
+
+    def test_deeply_nested_text_reads(self):
+        text = "(" * 20000 + ")" * 20000
+        inner = "(" * 19999 + "nil" + ")" * 19999
+        assert print_canonical(parse_full(text)) == inner
+        assert print_canonical(parse_implicit(text)) == inner
+        [form] = iter_forms(text)
+        assert print_canonical(form) == inner
+
+    def test_deep_values_round_trip(self):
+        for leaf in ((), 7, "a", ("+", 1, 2)):
+            e = leaf
+            for _ in range(20000):
+                e = (e, "b") if leaf == 7 else (e,)
+            text = print_canonical(e)
+            assert print_canonical(parse_full(text)) == text
+            assert print_canonical(parse_implicit(text)) == text
+            stream = BitStream(to_bits(e))
+            assert print_canonical(read_exp_from_stream(stream)) == text
+            assert stream.remaining == 0
+
+    def test_deep_errors_keep_their_positions(self):
+        with pytest.raises(SExprSyntaxError, match=r"unbalanced parenthesis \(line 1, column 2\)"):
+            parse_implicit("((" + "(" * 20000 + ")" * 20000)
+        with pytest.raises(SExprSyntaxError, match=r"unexpected end of input \(line 1, column 19999\)"):
+            parse_implicit("+ " * 10000)

@@ -6,23 +6,28 @@ they either return a value or raise their own declared error, never
 anything else.
 """
 
+import os
 import random
 import string
+import subprocess
+import sys
 
 import pytest
 
 from sdlisp.bits import BitStream, OutOfData
-from sdlisp.interp import Budget, OutOfTime, Session, Closure, evaluate
+from sdlisp.interp import MAX_DEPTH, Budget, OutOfTime, Session, Closure, evaluate, run_source
 from sdlisp.sexpr import (
+    QUOTE,
     SExprSyntaxError,
     parse_full,
     parse_implicit,
     print_canonical,
     read_exp_from_stream,
     size_chars,
+    text_bits,
     to_bits,
 )
-from sdlisp.universal import LispU, run_U
+from sdlisp.universal import LispU, RunResult, run_U
 
 
 class TestParserTotality:
@@ -182,3 +187,88 @@ class TestBudgetEdges:
         source = "(let f (lambda (g n) (+ 1 (g g n))) (f f 0))"
         status, payload, _ = Session().try_expression(parse_full(source), None, "")
         assert (status, payload) == ("failure", "out-of-time")
+
+
+def _from_deeper(frames, call):
+    """call() made from *frames* more Python frames than the caller's."""
+    if frames == 0:
+        return call()
+    return _from_deeper(frames - 1, call)
+
+
+def _nested(k, inner=0):
+    """(+ 1 (+ 1 ... inner)) with k applications of +."""
+    e = inner
+    for _ in range(k):
+        e = ("+", 1, e)
+    return e
+
+
+class TestDepthRule:
+    """Nesting depth is counted against MAX_DEPTH, so a run's outcome is a
+    function of the program and its budget alone, not of the host stack."""
+
+    COUNT = "let f ' lambda (g n) if = n 0 0 + 1 (g g - n 1) (f f {})"
+    DEEP_TEXT = "(" * 20000 + ")" * 20000
+
+    @pytest.mark.parametrize("program, budget, expected", [
+        (to_bits(parse_implicit(COUNT.format(3000))), None, RunResult("halted", 3000)),
+        (to_bits(parse_implicit(COUNT.format(9994))), None, RunResult("still-running")),
+        (to_bits(parse_implicit("size read-exp")) + text_bits(DEEP_TEXT + "\n"), None,
+         RunResult("halted", 40001)),
+        (text_bits("size '" + DEEP_TEXT + "\n"), None, RunResult("halted", 40001)),
+        (text_bits(print_canonical(_nested(20000)) + "\n"), None, RunResult("still-running")),
+        (text_bits(print_canonical(_nested(20000)) + "\n"), 10, RunResult("still-running")),
+    ], ids=["count-3000", "count-9994", "read-exp-deep-data", "deep-quoted-text",
+            "deep-code-text", "deep-code-text-budget-10"])
+    def test_outcome_is_the_same_from_any_caller_depth(self, program, budget, expected):
+        for frames in (0, 300):
+            result = _from_deeper(frames, lambda: LispU().run(program, budget))
+            assert (result.status, result.value, result.reason) == \
+                (expected.status, expected.value, expected.reason)
+            if result.halted:
+                assert result.consumed == len(program)
+
+    def test_depth_limit_is_exact(self):
+        # the innermost (+ 1 0) of k nested forms is k - 1 levels deep
+        assert Session().evaluate(_nested(MAX_DEPTH + 1)) == MAX_DEPTH + 1
+        with pytest.raises(OutOfTime):
+            Session().evaluate(_nested(MAX_DEPTH + 2))
+
+    def test_try_counts_one_level(self):
+        # try at level 1 runs its expression at level 2
+        def tried(k):
+            return ("cadr", ("try", "no-time-limit", (QUOTE, _nested(k)), ()))
+        assert Session().evaluate(tried(MAX_DEPTH - 1)) == MAX_DEPTH - 1
+        assert Session().evaluate(tried(MAX_DEPTH)) == "out-of-time"
+
+    @pytest.mark.parametrize("limit", [None, 10 ** 9, MAX_DEPTH + 2])
+    def test_innermost_try_takes_the_overrun_whatever_its_limit(self, limit):
+        status, payload, _ = Session().try_expression(_nested(MAX_DEPTH + 2), limit, "")
+        assert (status, payload) == ("failure", "out-of-time")
+
+    def test_outer_try_sees_the_inner_failure(self):
+        inner = ("try", "no-time-limit", (QUOTE, _nested(MAX_DEPTH)), ())
+        status, payload, _ = Session().try_expression(("cadr", inner), 10 ** 6, "")
+        assert (status, payload) == ("success", "out-of-time")
+
+    def test_a_smaller_budget_runs_out_first(self):
+        with pytest.raises(OutOfTime) as info:
+            Session().evaluate(_nested(MAX_DEPTH + 2), budget=100)
+        assert type(info.value) is OutOfTime
+
+    def test_run_source_reports_too_deep_forms_as_out_of_time(self):
+        deep = print_canonical(_nested(20000))
+        assert run_source(f"{deep}\n(define x {deep})\nx\n5") == [
+            ("error", "out-of-time"), ("error", "out-of-time"), ("value", "x"), ("value", 5)]
+
+    def test_import_leaves_the_recursion_limit_alone(self):
+        code = ("import sys; sys.setrecursionlimit(1234); import sdlisp; "
+                "assert sys.getrecursionlimit() == 1234; "
+                "from sdlisp.interp import MAX_DEPTH, Session; Session(); "
+                "assert sys.getrecursionlimit() >= 2 * MAX_DEPTH; "
+                "sys.setrecursionlimit(50000); Session(); "
+                "assert sys.getrecursionlimit() == 50000")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -6,6 +6,7 @@ import pytest
 
 from sdlisp.bits import bitstrings_up_to
 from sdlisp.interp import run_source
+from sdlisp.kraft import Requirement, build_computer
 from sdlisp.sexpr import (
     NIL,
     NOT_AN_ATOM,
@@ -261,9 +262,11 @@ class TestToyPair:
         assert not ToyPair().run("01").halted
 
 
-@pytest.mark.parametrize("machine", [ToyDoubling(), ToyNumeral(), ToyPair(), LispU()],
+@pytest.mark.parametrize("machine", [ToyDoubling(), ToyNumeral(), ToyPair(), LispU(),
+                                     ComposedUniversal([ToyDoubling(), ToyPair()]),
+                                     build_computer([Requirement(1, 0), Requirement(2, 1)])],
                          ids=lambda m: m.name)
-@pytest.mark.parametrize("program", ["0a", "2201", "01 "])
+@pytest.mark.parametrize("program", ["0a", "2201", "01 ", "0x01"])
 def test_non_bit_programs_are_rejected(machine, program):
     with pytest.raises(ValueError, match="not a bit string"):
         machine.run(program, 100)

@@ -142,8 +142,8 @@ def _evaluate_quietly(ctx, expr: SExpr, steps: int | None) -> SExpr | None:
     """*expr*'s value within *steps* more steps of the search's one budget,
     or None if it ran out.
 
-    *ctx* is built once per search with neither captures nor emit, so
-    ``display`` output is dropped; its budget's ``used`` totals the search.
+    *ctx* is built once per search with no emit, so ``display`` output is
+    dropped; its budget's ``used`` totals the search.
     """
     budget = ctx.budget
     if steps is not None:

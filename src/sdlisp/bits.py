@@ -47,6 +47,16 @@ class BitStream:
         return f"BitStream({self.bits!r}, pos={self.pos})"
 
 
+def read_doubled(bits: str, i: int = 0) -> tuple[str, int] | None:
+    """The doubled word at index *i* of *bits* (each equal pair carries a bit,
+    the first unequal pair ends it) and the index past that pair, or None
+    when the bits run out first.  The caller decides which pairs may end it."""
+    for j in range(i, len(bits) - 1, 2):
+        if bits[j] != bits[j + 1]:
+            return bits[i:j:2], j + 2
+    return None
+
+
 def all_bitstrings(length: int):
     """All bit strings of exactly *length* bits, in lexicographic order."""
     if length == 0:

@@ -166,7 +166,9 @@ def cmd_kraft(args) -> int:
 
 def cmd_omega(args) -> int:
     machine = _machine(args.machine)
-    if args.machine == "lispu" and args.max_len > 24 and not args.force:
+    # the oracle's round r walks max(--oracle, r) bits
+    walk = args.max_len if args.oracle is None else max(args.oracle, args.max_rounds)
+    if args.machine == "lispu" and walk > 24 and not args.force:
         raise SExprSyntaxError("lispu enumeration above 24 bits needs --force")
     if args.count_file is not None:
         programs = [parse_bit_text(line) for line in _read_text(args.count_file).split()]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .bits import BitStream, check_bits
+from .bits import BitStream, OutOfData, check_bits, read_doubled
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,11 @@ def encode_doubling(x: str) -> str:
 
 def decode_doubling(stream: BitStream) -> str:
     """Consume pairs while they match; the first unequal pair ends the word."""
-    out = []
-    while True:
-        pair = stream.read(2)
-        if pair[0] != pair[1]:
-            return "".join(out)
-        out.append(pair[0])
+    found = read_doubled(stream.bits, stream.pos)
+    if found is None:
+        raise OutOfData(f"no unequal pair in the {stream.remaining} bits left")
+    word, stream.pos = found
+    return word
 
 
 def encode_header_numeral(x: str) -> str:
@@ -97,22 +96,23 @@ def make_elegant_codec(machine, size_cap: int, budget: int | None) -> Codec:
     the machine's domain is prefix-free.
     """
     from .ait import H_upper, SearchExhausted  # heavy module, import on use
+    from .universal import OUT_OF_DATA
 
     def encode(x: str) -> str:
         record = H_upper(len(check_bits(x)), machine, size_cap, budget)
         return record.witness + x
 
     def decode(stream: BitStream) -> str:
+        # every outcome but out-of-data is final for all longer headers
         header = ""
-        n = None
+        result = None
         while len(header) < size_cap:
             header += stream.read(1)
             result = machine.run(header, budget)
-            if result.halted:
-                n = result.value
+            if result.reason != OUT_OF_DATA:
                 break
-        if not isinstance(n, int):
+        if result is None or not result.halted or not isinstance(result.value, int):
             raise SearchExhausted(f"no length program within {size_cap} bits")
-        return stream.read(n)
+        return stream.read(result.value)
 
     return Codec("elegant", encode, decode)

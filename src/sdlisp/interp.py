@@ -13,6 +13,12 @@ applications all yield values instead of aborting:
 * arithmetic treats non-numbers as 0, and subtraction floors at 0;
 * only the atom ``false`` is false to ``if``.
 
+The value primitives, whose result depends only on their evaluated
+arguments (``car cdr cadr cons append atom = + - * < size bits``), are
+entries of one table; ``evaluate`` takes each one's argument count from
+``PRIMITIVE_ARITY``, the table the reader drops parentheses by, and keeps a
+branch only for the forms that steer evaluation or use the context.
+
 Functions close over their defining environment, and a closure *is* the
 S-expression ``(lambda (params) body)`` - :class:`Closure` subclasses tuple -
 so function values print, compare, and hash like any other value.  A plain
@@ -126,12 +132,11 @@ class Closure(tuple):
 class _Ctx:
     """Everything one evaluation threads along besides the environment."""
 
-    __slots__ = ("budget", "stream", "captures", "genv", "table", "emit")
+    __slots__ = ("budget", "stream", "genv", "table", "emit")
 
-    def __init__(self, budget, stream, captures, genv, table, emit=None):
+    def __init__(self, budget, stream, genv, table, emit=None):
         self.budget = budget
         self.stream = stream
-        self.captures = captures
         self.genv = genv
         self.table = table
         self.emit = emit
@@ -170,6 +175,26 @@ def _equal(a: SExpr, b: SExpr) -> bool:
     return True
 
 
+# size and bits call through this module's globals, so that a wrapper
+# installed on them sees every call.
+_VALUE_PRIMITIVES = {
+    "car": lambda v: v[0] if isinstance(v, tuple) and v else v,
+    "cdr": lambda v: v[1:] if isinstance(v, tuple) and v else v,
+    "cadr": lambda v: (v[1] if len(v) > 1 else NIL) if isinstance(v, tuple) and v else v,
+    "cons": lambda a, d: (a, *d) if isinstance(d, tuple) else (a,),
+    "append": lambda a, b: ((a if isinstance(a, tuple) else NIL)
+                            + (b if isinstance(b, tuple) else NIL)),
+    "atom": lambda v: FALSE if isinstance(v, tuple) and v else TRUE,
+    "=": lambda a, b: TRUE if _equal(a, b) else FALSE,
+    "+": lambda a, b: _nat(a) + _nat(b),
+    "-": lambda a, b: max(0, _nat(a) - _nat(b)),
+    "*": lambda a, b: _nat(a) * _nat(b),
+    "<": lambda a, b: TRUE if _nat(a) < _nat(b) else FALSE,
+    "size": lambda v: size_chars(v),
+    "bits": lambda v: bits_to_sexpr(to_bits(v)),
+}
+
+
 def evaluate(e: SExpr, env: Env, ctx: _Ctx, depth: int = 0) -> SExpr:
     while True:
         if type(e) is int:
@@ -189,92 +214,48 @@ def evaluate(e: SExpr, env: Env, ctx: _Ctx, depth: int = 0) -> SExpr:
         ctx.budget.charge()
         head = e[0]
         if type(head) is str and head in PRIMITIVE_ARITY:
-            h = head
-            if h == QUOTE:
+            fn = _VALUE_PRIMITIVES.get(head)
+            if fn is not None:
+                a = evaluate(_arg(e, 1), env, ctx, depth + 1)
+                if PRIMITIVE_ARITY[head] == 1:
+                    return fn(a)
+                return fn(a, evaluate(_arg(e, 2), env, ctx, depth + 1))
+            if head == QUOTE:
                 return _arg(e, 1)
-            if h == "if":
+            if head == "if":
                 cond = evaluate(_arg(e, 1), env, ctx, depth + 1)
                 e = _arg(e, 2) if cond != FALSE else _arg(e, 3)
                 continue
-            if h == "car":
+            if head == "display":
                 v = evaluate(_arg(e, 1), env, ctx, depth + 1)
-                return v[0] if isinstance(v, tuple) and v else v
-            if h == "cdr":
-                v = evaluate(_arg(e, 1), env, ctx, depth + 1)
-                return v[1:] if isinstance(v, tuple) and v else v
-            if h == "cadr":
-                v = evaluate(_arg(e, 1), env, ctx, depth + 1)
-                v = v[1:] if isinstance(v, tuple) and v else v
-                return v[0] if isinstance(v, tuple) and v else v
-            if h == "cons":
-                a = evaluate(_arg(e, 1), env, ctx, depth + 1)
-                d = evaluate(_arg(e, 2), env, ctx, depth + 1)
-                return (a, *d) if isinstance(d, tuple) else (a,)
-            if h == "append":
-                a = evaluate(_arg(e, 1), env, ctx, depth + 1)
-                b = evaluate(_arg(e, 2), env, ctx, depth + 1)
-                la = a if isinstance(a, tuple) else ()
-                lb = b if isinstance(b, tuple) else ()
-                return la + lb
-            if h == "atom":
-                v = evaluate(_arg(e, 1), env, ctx, depth + 1)
-                return FALSE if isinstance(v, tuple) and v else TRUE
-            if h == "=":
-                a = evaluate(_arg(e, 1), env, ctx, depth + 1)
-                b = evaluate(_arg(e, 2), env, ctx, depth + 1)
-                return TRUE if _equal(a, b) else FALSE
-            if h == "+":
-                a = evaluate(_arg(e, 1), env, ctx, depth + 1)
-                b = evaluate(_arg(e, 2), env, ctx, depth + 1)
-                return _nat(a) + _nat(b)
-            if h == "-":
-                a = evaluate(_arg(e, 1), env, ctx, depth + 1)
-                b = evaluate(_arg(e, 2), env, ctx, depth + 1)
-                return max(0, _nat(a) - _nat(b))
-            if h == "*":
-                a = evaluate(_arg(e, 1), env, ctx, depth + 1)
-                b = evaluate(_arg(e, 2), env, ctx, depth + 1)
-                return _nat(a) * _nat(b)
-            if h == "<":
-                a = evaluate(_arg(e, 1), env, ctx, depth + 1)
-                b = evaluate(_arg(e, 2), env, ctx, depth + 1)
-                return TRUE if _nat(a) < _nat(b) else FALSE
-            if h == "size":
-                return size_chars(evaluate(_arg(e, 1), env, ctx, depth + 1))
-            if h == "bits":
-                return bits_to_sexpr(to_bits(evaluate(_arg(e, 1), env, ctx, depth + 1)))
-            if h == "display":
-                v = evaluate(_arg(e, 1), env, ctx, depth + 1)
-                if ctx.captures is not None:
-                    ctx.captures.append(v)
-                elif ctx.emit is not None:
+                if ctx.emit is not None:
                     ctx.emit(v)
                 return v
-            if h == "lambda":
+            if head == "lambda":
                 return e if isinstance(e, Closure) else Closure(e, env)
-            if h == "let":
+            if head == "let":
                 name = _arg(e, 1)
                 value = evaluate(_arg(e, 2), env, ctx, depth + 1)
                 if isinstance(name, str):
                     env = Env({name: value}, env)
                 e = _arg(e, 3)
                 continue
-            if h == "define":
+            if head == "define":
                 # Bindings happen at the top level; in expression position a
                 # define form is inert and evaluates to the name it mentions.
                 sig = _arg(e, 1)
                 if isinstance(sig, tuple) and sig and isinstance(sig[0], str):
                     return sig[0]
                 return sig if isinstance(sig, str) else NIL
-            if h == "eval":
+            if head == "eval":
                 e = evaluate(_arg(e, 1), env, ctx, depth + 1)
                 env = ctx.genv
                 continue
-            if h == "read-bit":
+            if head == "read-bit":
                 if ctx.stream is None:
                     raise OutOfData("no binary data in this context")
                 return int(ctx.stream.read(1))
-            if h == "read-exp":
+            if head == "read-exp":
                 if ctx.stream is None:
                     raise OutOfData("no binary data in this context")
                 try:
@@ -283,15 +264,14 @@ def evaluate(e: SExpr, env: Env, ctx: _Ctx, depth: int = 0) -> SExpr:
                     # Inside a computation, undecodable data is just bad
                     # data; the outcome vocabulary stays closed.
                     raise OutOfData(str(exc)) from exc
-            if h == "try":
+            if head == "try":
                 limit = evaluate(_arg(e, 1), env, ctx, depth + 1)
                 tried = evaluate(_arg(e, 2), env, ctx, depth + 1)
                 data = evaluate(_arg(e, 3), env, ctx, depth + 1)
                 return _try(tried, limit, _coerce_data(data), ctx, depth + 1)
-            if h == "run-utm-on":
+            if head == "run-utm-on":
                 e = ("cadr", ("try", NO_TIME_LIMIT, (QUOTE, ("eval", ("read-exp",))), _arg(e, 1)))
                 continue
-            raise AssertionError(f"unhandled primitive {h}")
 
         f = evaluate(head, env, ctx, depth + 1)
         if isinstance(f, tuple) and len(f) == 3 and f[0] == "lambda":
@@ -331,7 +311,7 @@ def _try(expr: SExpr, limit: SExpr, data: str, ctx: _Ctx, depth: int = 0) -> SEx
         inner_budget = Budget(min(declared, parent.remaining))
 
     captures: list[SExpr] = []
-    inner = _Ctx(inner_budget, BitStream(data), captures, ctx.genv, ctx.table)
+    inner = _Ctx(inner_budget, BitStream(data), ctx.genv, ctx.table, captures.append)
     try:
         value = evaluate(expr, ctx.genv, inner, depth)
     except DepthExceeded:
@@ -361,7 +341,9 @@ class Session:
         self.emit = emit
 
     def _ctx(self, budget: Budget, stream=None, captures=None) -> _Ctx:
-        return _Ctx(budget, stream, captures, self.genv, self.table, self.emit)
+        """A context whose display goes to *captures*, if given, or else emit."""
+        emit = self.emit if captures is None else captures.append
+        return _Ctx(budget, stream, self.genv, self.table, emit)
 
     def evaluate(self, e: SExpr, budget: int | None = None) -> SExpr:
         return evaluate(e, self.genv, self._ctx(Budget(budget)))

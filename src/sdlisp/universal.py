@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .bits import BitStream, OutOfData, all_bitstrings, check_bits
+from .bits import BitStream, OutOfData, all_bitstrings, check_bits, read_doubled
 from .dyadic import Dyadic, sum_dyadic
 from .interp import Budget, OutOfTime, Session, evaluate
 from .sexpr import (
@@ -125,7 +125,7 @@ class LispU:
             expr = parse_implicit(text, session.table)
         except SExprSyntaxError:
             return invalid(PARSE_ERROR)
-        ctx = session._ctx(bud, stream=stream, captures=[])
+        ctx = session._ctx(bud, stream=stream)
         try:
             value = evaluate(expr, session.genv, ctx)
         except OutOfTime:
@@ -160,21 +160,20 @@ def encode_program(expr: SExpr, data: str = "") -> str:
     return to_bits(expr) + data
 
 
-def _read_doubled(program: str, i: int):
+def _read_codeword(program: str, i: int):
     """Decode the doubled codeword starting at index *i* of *program*.
 
-    Each equal pair carries one bit, and only the encoder's own terminator
-    01 ends the word; a 10 pair is not in the domain (it would double the
-    mass of every codeword and push the total to 1).  Returns the decoded
-    bits and the index just past the terminator, or None and the reason the
-    program is invalid.
+    Only the encoder's own terminator 01 ends the word; a 10 pair is not in
+    the domain (it would double the mass of every codeword and push the
+    total to 1).  Returns the decoded bits and the index just past the
+    terminator, or None and the reason the program is invalid.
     """
-    for j in range(i, len(program) - 1, 2):
-        if program[j] != program[j + 1]:
-            if program[j] == "1":
-                return None, PARSE_ERROR
-            return program[i:j:2], j + 2
-    return None, OUT_OF_DATA
+    found = read_doubled(program, i)
+    if found is None:
+        return None, OUT_OF_DATA
+    if program[found[1] - 2] == "1":
+        return None, PARSE_ERROR
+    return found
 
 
 class ToyDoubling:
@@ -188,7 +187,7 @@ class ToyDoubling:
     exact_omega = Dyadic(1, 1)
 
     def run(self, program: str, budget: int | None = None) -> RunResult:
-        bits, end = _read_doubled(check_bits(program), 0)
+        bits, end = _read_codeword(check_bits(program), 0)
         if bits is None:
             return invalid(end)
         if end != len(program):
@@ -245,7 +244,7 @@ class ToyPair:
         parts = []
         end = 0
         for _ in range(2):
-            bits, end = _read_doubled(program, end)
+            bits, end = _read_codeword(program, end)
             if bits is None:
                 return invalid(end)
             parts.append(tuple(map(int, bits)))

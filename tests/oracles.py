@@ -3,8 +3,10 @@
 Everything here is deliberately written as a separate code path from the
 package: membership is decided declaratively, sums use fractions.Fraction
 instead of the package's dyadic type, the expression enumerator works
-on character strings through the parser instead of building trees, and the
-reference readers recurse on nesting where the package's keep a stack.
+on character strings through the parser instead of building trees, the
+reference readers recurse on nesting where the package's keep a stack, and
+the reference evaluator spells out every primitive in its own branch where
+the package's dispatches value primitives through a table.
 """
 
 from __future__ import annotations
@@ -12,15 +14,41 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from sdlisp.bits import bitstrings_up_to
-from sdlisp.interp import Budget, OutOfData, OutOfTime, Session, evaluate
+from sdlisp.bits import BitStream, bits_to_sexpr, bitstrings_up_to
+from sdlisp.interp import (
+    FAILURE,
+    FALSE,
+    MAX_DEPTH,
+    NO_TIME_LIMIT,
+    OUT_OF_TIME,
+    SUCCESS,
+    TRUE,
+    Budget,
+    Closure,
+    DepthExceeded,
+    Env,
+    OutOfData,
+    OutOfTime,
+    Session,
+    _arg,
+    _coerce_data,
+    _equal,
+    _nat,
+    evaluate,
+)
 from sdlisp.sexpr import (
+    NIL,
+    PRIMITIVE_ARITY,
     QUOTE,
     ArityTable,
+    SExpr,
     SExprSyntaxError,
     _atom,
     parse_full,
     print_canonical,
+    read_exp_from_stream,
+    size_chars,
+    to_bits,
     tokenize,
 )
 from sdlisp.universal import OUT_OF_DATA, LispU, RunResult, halted, invalid, still_running
@@ -202,8 +230,6 @@ def random_data_sexpr(rng, depth: int = 3):
 def random_any_sexpr(rng, depth: int = 3):
     """Arbitrary expressions including primitive symbols and quote forms;
     the plain reader and printer must round-trip even these."""
-    from sdlisp.sexpr import PRIMITIVE_ARITY
-
     roll = rng.random()
     if depth == 0 or roll < 0.4:
         kind = rng.randrange(4)
@@ -329,3 +355,201 @@ def iter_forms_reference(text: str, table: ArityTable | None = None):
     reader = RecursiveReader(text, table)
     while not reader.at_end():
         yield reader.read_arity()[0]
+
+
+# --- reference evaluator -----------------------------------------------------
+# One branch per primitive, each evaluating its own count of arguments, and a
+# context that carries captures beside emit; the package's evaluator must
+# agree with it on every outcome, step count and displayed value.
+
+class ReferenceCtx:
+    """Everything one evaluation threads along besides the environment."""
+
+    __slots__ = ("budget", "stream", "captures", "genv", "table", "emit")
+
+    def __init__(self, budget, stream, captures, genv, table, emit=None):
+        self.budget = budget
+        self.stream = stream
+        self.captures = captures
+        self.genv = genv
+        self.table = table
+        self.emit = emit
+
+
+def evaluate_reference(e: SExpr, env: Env, ctx: ReferenceCtx, depth: int = 0) -> SExpr:
+    while True:
+        if type(e) is int:
+            return e
+        if type(e) is str:
+            scope = env
+            while scope is not None:
+                if e in scope.bindings:
+                    return scope.bindings[e]
+                scope = scope.parent
+            return e
+        if e == ():
+            return NIL
+
+        if depth > MAX_DEPTH:
+            raise DepthExceeded()
+        ctx.budget.charge()
+        head = e[0]
+        if type(head) is str and head in PRIMITIVE_ARITY:
+            h = head
+            if h == QUOTE:
+                return _arg(e, 1)
+            if h == "if":
+                cond = evaluate_reference(_arg(e, 1), env, ctx, depth + 1)
+                e = _arg(e, 2) if cond != FALSE else _arg(e, 3)
+                continue
+            if h == "car":
+                v = evaluate_reference(_arg(e, 1), env, ctx, depth + 1)
+                return v[0] if isinstance(v, tuple) and v else v
+            if h == "cdr":
+                v = evaluate_reference(_arg(e, 1), env, ctx, depth + 1)
+                return v[1:] if isinstance(v, tuple) and v else v
+            if h == "cadr":
+                v = evaluate_reference(_arg(e, 1), env, ctx, depth + 1)
+                v = v[1:] if isinstance(v, tuple) and v else v
+                return v[0] if isinstance(v, tuple) and v else v
+            if h == "cons":
+                a = evaluate_reference(_arg(e, 1), env, ctx, depth + 1)
+                d = evaluate_reference(_arg(e, 2), env, ctx, depth + 1)
+                return (a, *d) if isinstance(d, tuple) else (a,)
+            if h == "append":
+                a = evaluate_reference(_arg(e, 1), env, ctx, depth + 1)
+                b = evaluate_reference(_arg(e, 2), env, ctx, depth + 1)
+                la = a if isinstance(a, tuple) else ()
+                lb = b if isinstance(b, tuple) else ()
+                return la + lb
+            if h == "atom":
+                v = evaluate_reference(_arg(e, 1), env, ctx, depth + 1)
+                return FALSE if isinstance(v, tuple) and v else TRUE
+            if h == "=":
+                a = evaluate_reference(_arg(e, 1), env, ctx, depth + 1)
+                b = evaluate_reference(_arg(e, 2), env, ctx, depth + 1)
+                return TRUE if _equal(a, b) else FALSE
+            if h == "+":
+                a = evaluate_reference(_arg(e, 1), env, ctx, depth + 1)
+                b = evaluate_reference(_arg(e, 2), env, ctx, depth + 1)
+                return _nat(a) + _nat(b)
+            if h == "-":
+                a = evaluate_reference(_arg(e, 1), env, ctx, depth + 1)
+                b = evaluate_reference(_arg(e, 2), env, ctx, depth + 1)
+                return max(0, _nat(a) - _nat(b))
+            if h == "*":
+                a = evaluate_reference(_arg(e, 1), env, ctx, depth + 1)
+                b = evaluate_reference(_arg(e, 2), env, ctx, depth + 1)
+                return _nat(a) * _nat(b)
+            if h == "<":
+                a = evaluate_reference(_arg(e, 1), env, ctx, depth + 1)
+                b = evaluate_reference(_arg(e, 2), env, ctx, depth + 1)
+                return TRUE if _nat(a) < _nat(b) else FALSE
+            if h == "size":
+                return size_chars(evaluate_reference(_arg(e, 1), env, ctx, depth + 1))
+            if h == "bits":
+                return bits_to_sexpr(to_bits(evaluate_reference(_arg(e, 1), env, ctx, depth + 1)))
+            if h == "display":
+                v = evaluate_reference(_arg(e, 1), env, ctx, depth + 1)
+                if ctx.captures is not None:
+                    ctx.captures.append(v)
+                elif ctx.emit is not None:
+                    ctx.emit(v)
+                return v
+            if h == "lambda":
+                return e if isinstance(e, Closure) else Closure(e, env)
+            if h == "let":
+                name = _arg(e, 1)
+                value = evaluate_reference(_arg(e, 2), env, ctx, depth + 1)
+                if isinstance(name, str):
+                    env = Env({name: value}, env)
+                e = _arg(e, 3)
+                continue
+            if h == "define":
+                # Bindings happen at the top level; in expression position a
+                # define form is inert and evaluates to the name it mentions.
+                sig = _arg(e, 1)
+                if isinstance(sig, tuple) and sig and isinstance(sig[0], str):
+                    return sig[0]
+                return sig if isinstance(sig, str) else NIL
+            if h == "eval":
+                e = evaluate_reference(_arg(e, 1), env, ctx, depth + 1)
+                env = ctx.genv
+                continue
+            if h == "read-bit":
+                if ctx.stream is None:
+                    raise OutOfData("no binary data in this context")
+                return int(ctx.stream.read(1))
+            if h == "read-exp":
+                if ctx.stream is None:
+                    raise OutOfData("no binary data in this context")
+                try:
+                    return read_exp_from_stream(ctx.stream, ctx.table)
+                except SExprSyntaxError as exc:
+                    # Inside a computation, undecodable data is just bad
+                    # data; the outcome vocabulary stays closed.
+                    raise OutOfData(str(exc)) from exc
+            if h == "try":
+                limit = evaluate_reference(_arg(e, 1), env, ctx, depth + 1)
+                tried = evaluate_reference(_arg(e, 2), env, ctx, depth + 1)
+                data = evaluate_reference(_arg(e, 3), env, ctx, depth + 1)
+                return try_reference(tried, limit, _coerce_data(data), ctx, depth + 1)
+            if h == "run-utm-on":
+                e = ("cadr", ("try", NO_TIME_LIMIT, (QUOTE, ("eval", ("read-exp",))), _arg(e, 1)))
+                continue
+            raise AssertionError(f"unhandled primitive {h}")
+
+        f = evaluate_reference(head, env, ctx, depth + 1)
+        if isinstance(f, tuple) and len(f) == 3 and f[0] == "lambda":
+            params = f[1] if isinstance(f[1], tuple) else ()
+            frame = {}
+            for i, p in enumerate(params):
+                v = evaluate_reference(_arg(e, 1 + i), env, ctx, depth + 1)
+                if isinstance(p, str):
+                    frame[p] = v
+            env = Env(frame, f.env if isinstance(f, Closure) else ctx.genv)
+            e = f[2]
+            continue
+        return NIL
+
+
+def try_reference(expr: SExpr, limit: SExpr, data: str, ctx: ReferenceCtx,
+                  depth: int = 0) -> SExpr:
+    """Run *expr* in a fresh global environment over its own data stream.
+
+    Returns the outcome triple.  Out-of-time is a value of this TRY only
+    when the declared limit itself was hit, or when *expr* nested too deep;
+    exhausting the enclosing budget propagates, which is what keeps success
+    budget-monotone.
+    """
+    if type(limit) is int:
+        declared = limit
+    elif limit == NO_TIME_LIMIT:
+        declared = None
+    else:
+        declared = 0
+
+    parent = ctx.budget
+    if declared is None:
+        inner_budget = parent
+    elif parent.limit is None:
+        inner_budget = Budget(declared)
+    else:
+        inner_budget = Budget(min(declared, parent.remaining))
+
+    captures: list[SExpr] = []
+    inner = ReferenceCtx(inner_budget, BitStream(data), captures, ctx.genv, ctx.table)
+    try:
+        value = evaluate_reference(expr, ctx.genv, inner, depth)
+    except DepthExceeded:
+        return (FAILURE, OUT_OF_TIME, tuple(captures))
+    except OutOfTime:
+        if inner_budget is parent or inner_budget.limit < declared:
+            raise
+        return (FAILURE, OUT_OF_TIME, tuple(captures))
+    except OutOfData:
+        return (FAILURE, OUT_OF_DATA, tuple(captures))
+    finally:
+        if inner_budget is not parent:
+            parent.spend(inner_budget.used)
+    return (SUCCESS, value, tuple(captures))

@@ -148,6 +148,12 @@ class TestOmega:
         code, _, err = run_cli(capsys, "omega", "--machine", "lispu", "--max-len", "32")
         assert code == 2
 
+    def test_lispu_oracle_length_guard(self, capsys):
+        # round r of the oracle walks max(--oracle, r) bits, up to --max-rounds
+        code, _, err = run_cli(capsys, "omega", "--machine", "lispu", "--oracle", "6",
+                               "--omega", "1/2")
+        assert code == 2 and "--force" in err
+
     def test_count_verb(self, tmp_path, capsys):
         programs = tmp_path / "programs"
         programs.write_text("01\n00\n1101\n")

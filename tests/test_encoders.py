@@ -117,3 +117,12 @@ class TestElegantHeader:
         tiny = make_elegant_codec(ToyNumeral(), size_cap=2, budget=None)
         with pytest.raises(SearchExhausted):
             tiny.encode("1010")
+
+    def test_decode_stops_at_a_final_header(self):
+        # 10 is a parse error for every extension: nothing past it is read
+        from sdlisp.ait import SearchExhausted
+        for bits in ("10", "10" + "0" * 30):
+            stream = BitStream(bits)
+            with pytest.raises(SearchExhausted):
+                self.codec.decode(stream)
+            assert stream.pos == 2

@@ -1,0 +1,165 @@
+"""The evaluator against its reference, on seeded random programs.
+
+The package dispatches value primitives through one table; the reference
+in ``oracles`` spells out every primitive in its own branch.  On programs
+built from every primitive, ``lambda``, ``let`` and ``try`` over data that
+``read-bit`` and ``read-exp`` consume, both must agree on the outcome, the
+value, the steps used, the displayed values and the data read, at every
+budget.  The same runs check that the evaluator is total and that success
+is budget-monotone.
+"""
+
+import ast
+import inspect
+import random
+import textwrap
+
+from sdlisp import interp
+from sdlisp.bits import BitStream, OutOfData
+from sdlisp.interp import NO_TIME_LIMIT, Budget, OutOfTime, Session, evaluate
+from sdlisp.sexpr import PRIMITIVE_ARITY, QUOTE, to_bits
+
+from oracles import ReferenceCtx, evaluate_reference
+
+BUDGETS = (0, 1, 2, 7, 64, 1000)
+VARIABLES = ("x", "y", "f")
+VALUE_HEADS = ("car", "cdr", "cadr", "cons", "append", "atom", "=", "+", "-", "*", "<",
+               "size", "bits")
+
+
+def _control_forms():
+    """The primitive names the if-chain of ``interp.evaluate`` compares the
+    head against."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(interp.evaluate)))
+    forms = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+                and node.left.id == "head" and isinstance(node.ops[0], ast.Eq)):
+            right = node.comparators[0]
+            if isinstance(right, ast.Constant):
+                forms.add(right.value)
+            else:
+                forms.add(getattr(interp, right.id))
+    return forms
+
+
+def test_value_table_and_control_forms_cover_every_primitive_once():
+    table = set(interp._VALUE_PRIMITIVES)
+    forms = _control_forms()
+    assert table == set(VALUE_HEADS)
+    assert forms == {QUOTE, "if", "lambda", "let", "define", "eval", "display",
+                     "read-bit", "read-exp", "try", "run-utm-on"}
+    assert not table & forms
+    assert table | forms == set(PRIMITIVE_ARITY)
+    # the dispatcher evaluates one or two arguments
+    assert {PRIMITIVE_ARITY[name] for name in table} == {1, 2}
+
+
+def _bits(rng):
+    """Data for read-bit and read-exp: an encoded expression, random bits,
+    or both."""
+    roll = rng.random()
+    raw = "".join(rng.choice("01") for _ in range(rng.randrange(0, 12)))
+    if roll < 0.5:
+        expr = rng.choice((7, "x", (), (QUOTE, (1, 2)), ("+", 1, 2), ("read-bit",),
+                           ("cons", ("read-bit",), ("read-bit",))))
+        return to_bits(expr) + (raw if roll < 0.2 else "")
+    return raw
+
+
+def _leaf(rng):
+    return rng.choice((
+        lambda: rng.randrange(0, 12),
+        lambda: rng.choice(VARIABLES),
+        lambda: rng.choice(("nil", "true", "false", "a")),
+        lambda: (QUOTE, rng.choice(((1, 2, 3), ("a", ("b",)), (), 5))),
+        lambda: ("read-bit",),
+        lambda: ("read-exp",),
+    ))()
+
+
+def random_program(rng, depth=4):
+    if depth == 0 or rng.random() < 0.25:
+        return _leaf(rng)
+
+    def sub():
+        return random_program(rng, depth - 1)
+
+    kind = rng.randrange(10)
+    if kind < 4:
+        head = rng.choice(VALUE_HEADS)
+        return (head, *(sub() for _ in range(PRIMITIVE_ARITY[head])))
+    if kind == 4:
+        return ("if", sub(), sub(), sub())
+    if kind == 5:
+        return ("let", rng.choice(VARIABLES), sub(), sub())
+    if kind == 6:
+        params = tuple(rng.sample(VARIABLES, rng.randrange(0, 3)))
+        args = tuple(sub() for _ in range(rng.randrange(0, 3)))
+        if rng.random() < 0.4:
+            return (("lambda", params, sub()), *args)
+        # a function that calls itself, maybe forever; its values grow by
+        # at most one cell or one unit a call, so no run outgrows memory
+        steps = tuple(rng.choice((("cdr", v), ("-", v, 1), ("+", v, 1), ("cons", 0, v), v))
+                      for v in ("x", "y"))
+        body = ("if", sub(), sub(), ("f", "f", *steps))
+        return ("let", "f", ("lambda", ("f", "x", "y"), body), ("f", "f", *args))
+    if kind == 7:
+        limit = rng.choice((0, 1, 3, 10, NO_TIME_LIMIT, sub()))
+        data = tuple(int(b) for b in _bits(rng))
+        return ("try", limit, (QUOTE, sub()), (QUOTE, data))
+    if kind == 8:
+        return (rng.choice(("display", "eval")), sub())
+    return rng.choice((
+        lambda: (QUOTE, sub()),
+        lambda: ("define", rng.choice(VARIABLES), sub()),
+        lambda: ("eval", (QUOTE, sub())),
+        lambda: ("run-utm-on", (QUOTE, tuple(int(b) for b in to_bits(sub())))),
+    ))()
+
+
+def _outcome(run, expr, budget, data):
+    """(kind, value, steps used, displayed values, bits read)."""
+    session = Session()
+    bud = Budget(budget)
+    stream = BitStream(data)
+    captures = []
+    try:
+        value = run(session, expr, bud, stream, captures)
+        kind = "value"
+    except OutOfTime:
+        value, kind = None, "out-of-time"
+    except OutOfData:
+        value, kind = None, "out-of-data"
+    return kind, value, bud.used, tuple(captures), stream.pos
+
+
+def _package(session, expr, bud, stream, captures):
+    return evaluate(expr, session.genv, session._ctx(bud, stream=stream, captures=captures))
+
+
+def _reference(session, expr, bud, stream, captures):
+    ctx = ReferenceCtx(bud, stream, captures, session.genv, session.table)
+    return evaluate_reference(expr, session.genv, ctx)
+
+
+def test_package_agrees_with_reference_on_random_programs():
+    rng = random.Random(20031)
+    kinds = set()
+    for _ in range(4000):
+        expr = random_program(rng)
+        data = _bits(rng)
+        success = None
+        for budget in BUDGETS:
+            got = _outcome(_package, expr, budget, data)
+            assert got == _outcome(_reference, expr, budget, data), (expr, data, budget)
+            kind, value = got[:2]
+            kinds.add(kind)
+            # total: a value, out-of-time or out-of-data, nothing else
+            assert kind in ("value", "out-of-time", "out-of-data")
+            # budget-monotone: once a run succeeds, more steps give its value
+            if success is not None:
+                assert got[:2] == ("value", success), (expr, data, budget)
+            elif kind == "value":
+                success = value
+    assert kinds == {"value", "out-of-time", "out-of-data"}

@@ -375,12 +375,22 @@ def _theorem_expression(theorem: SExpr) -> SExpr | None:
 
 
 def berry_searcher(handle: TheoryHandle, schedule: Iterable[int]) -> BerryOutcome:
-    """Run the searcher over increasing outer budgets.
+    """Run the searcher under a schedule of outer budgets.
 
     A sound theory never names an expression past the threshold, so the
     searcher exhausts the schedule; an unsound one trips it, and the
     searcher's value equals the value of the oversized expression it was
     promised no small program could match.
+
+    The outcome is that of the first budget, in the schedule's own order,
+    under which the searcher succeeds, and one run settles them all.
+    Success is budget-monotone: a run that needs s steps succeeds, with the
+    same value, under every budget of at least s and under none below it,
+    because an inner ``try`` whose limit its parent's remainder cuts short
+    propagates out-of-time instead of returning it.  So the searcher runs
+    once, under the largest budget, and the reported budget is the first
+    entry of at least the steps it spent.  If that run fails, every entry
+    fails.
     """
     n = handle.size_chars
     searcher, constant = build_searcher(handle.source)
@@ -388,31 +398,34 @@ def berry_searcher(handle: TheoryHandle, schedule: Iterable[int]) -> BerryOutcom
     base = BerryOutcome(
         found=False, searcher_constant=constant, threshold=threshold, theory_size=n,
     )
-    for budget in schedule:
-        status, payload, _ = Session().try_expression(searcher, budget, "")
-        if status != SUCCESS:
-            continue
-        run = run_theory(handle, budget)
-        malformed = sum(1 for t in run.theorems if _theorem_expression(t) is None)
-        for theorem in run.theorems:
-            expr = _theorem_expression(theorem)
-            if expr is not None and size_chars(expr) > threshold:
-                return BerryOutcome(
-                    found=True,
-                    searcher_constant=constant,
-                    threshold=threshold,
-                    theory_size=n,
-                    value=payload,
-                    theorem=theorem,
-                    theorem_size=size_chars(expr),
-                    budget=budget,
-                    malformed=malformed,
-                )
-        return BerryOutcome(
-            found=True, searcher_constant=constant, threshold=threshold,
-            theory_size=n, value=payload, budget=budget, malformed=malformed,
-        )
-    return base
+    schedule = list(schedule)
+    if not schedule:
+        return base
+    ctx = Session()._ctx(Budget(None))
+    payload = _evaluate_quietly(ctx, searcher, max(schedule))
+    if payload is None:
+        return base
+    budget = next(b for b in schedule if b >= ctx.budget.used)
+    run = run_theory(handle, budget)
+    malformed = sum(1 for t in run.theorems if _theorem_expression(t) is None)
+    for theorem in run.theorems:
+        expr = _theorem_expression(theorem)
+        if expr is not None and size_chars(expr) > threshold:
+            return BerryOutcome(
+                found=True,
+                searcher_constant=constant,
+                threshold=threshold,
+                theory_size=n,
+                value=payload,
+                theorem=theorem,
+                theorem_size=size_chars(expr),
+                budget=budget,
+                malformed=malformed,
+            )
+    return BerryOutcome(
+        found=True, searcher_constant=constant, threshold=threshold,
+        theory_size=n, value=payload, budget=budget, malformed=malformed,
+    )
 
 
 def sound_mock_theory() -> TheoryHandle:

@@ -250,8 +250,7 @@ def cmd_pair(args) -> int:
 
 def cmd_paradox(args) -> int:
     handle = ait.sound_mock_theory() if args.theory == "sound" else ait.unsound_mock_theory()
-    schedule = [int(b) for b in args.schedule.split(",")]
-    outcome = ait.berry_searcher(handle, schedule)
+    outcome = ait.berry_searcher(handle, args.schedule)
     print(f"theory size: {outcome.theory_size} chars")
     print(f"searcher constant: {outcome.searcher_constant} chars"
           f" (classic dialect: {outcome.classic_constant})")
@@ -272,6 +271,11 @@ def _natural(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a whole number >= 0, got {text!r}")
     return int(text)
+
+
+def _schedule(text: str) -> list[int]:
+    """Option type for a budget schedule: naturals separated by commas."""
+    return [_natural(b) for b in text.split(",")]
 
 
 def _add_machine_opts(sub, default="toy"):
@@ -358,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = verbs.add_parser("paradox", help="run the oversized-theorem searcher on a mock theory")
     sub.add_argument("--theory", choices=["sound", "unsound"], default="unsound")
-    sub.add_argument("--schedule", default="1024,65536,1048576")
+    sub.add_argument("--schedule", type=_schedule, default="1024,65536,1048576")
     sub.set_defaults(func=cmd_paradox)
 
     return parser

@@ -15,9 +15,16 @@ applications all yield values instead of aborting:
 
 The value primitives, whose result depends only on their evaluated
 arguments (``car cdr cadr cons append atom = + - * < size bits``), are
-entries of one table; ``evaluate`` takes each one's argument count from
-``PRIMITIVE_ARITY``, the table the reader drops parentheses by, and keeps a
-branch only for the forms that steer evaluation or use the context.
+entries of one table, each with its argument count from ``PRIMITIVE_ARITY``,
+the table the reader drops parentheses by; ``evaluate`` keeps a branch only
+for the forms that steer evaluation or use the context.
+
+``evaluate`` is the hot loop of every search, so it makes no call per step
+that it can do without: it charges the step inline, with
+:meth:`Budget.charge` as the rule's specification, fetches arguments by
+index against one ``len``, and looks a symbol in head position up in place
+(an atom costs no step and no depth, so this is exactly what evaluating it
+would do).
 
 Functions close over their defining environment, and a closure *is* the
 S-expression ``(lambda (params) body)`` - :class:`Closure` subclasses tuple -
@@ -96,6 +103,8 @@ class Budget:
         return None if self.limit is None else self.limit - self.used
 
     def charge(self) -> None:
+        """Spend one step, or raise OutOfTime if none is left.  ``evaluate``
+        inlines this; it is the rule's written form."""
         if self.limit is not None:
             if self.used >= self.limit:
                 raise OutOfTime()
@@ -176,8 +185,9 @@ def _equal(a: SExpr, b: SExpr) -> bool:
 
 
 # size and bits call through this module's globals, so that a wrapper
-# installed on them sees every call.
-_VALUE_PRIMITIVES = {
+# installed on them sees every call.  Each entry is (function, arity), the
+# arity read from PRIMITIVE_ARITY, so dispatch is one lookup.
+_VALUE_PRIMITIVES = {name: (fn, PRIMITIVE_ARITY[name]) for name, fn in {
     "car": lambda v: v[0] if isinstance(v, tuple) and v else v,
     "cdr": lambda v: v[1:] if isinstance(v, tuple) and v else v,
     "cadr": lambda v: (v[1] if len(v) > 1 else NIL) if isinstance(v, tuple) and v else v,
@@ -192,7 +202,7 @@ _VALUE_PRIMITIVES = {
     "<": lambda a, b: TRUE if _nat(a) < _nat(b) else FALSE,
     "size": lambda v: size_chars(v),
     "bits": lambda v: bits_to_sexpr(to_bits(v)),
-}
+}.items()}
 
 
 def evaluate(e: SExpr, env: Env, ctx: _Ctx, depth: int = 0) -> SExpr:
@@ -206,79 +216,98 @@ def evaluate(e: SExpr, env: Env, ctx: _Ctx, depth: int = 0) -> SExpr:
                     return scope.bindings[e]
                 scope = scope.parent
             return e
-        if e == ():
+        n = len(e)
+        if not n:
             return NIL
 
         if depth > MAX_DEPTH:
             raise DepthExceeded()
-        ctx.budget.charge()
+        budget = ctx.budget  # Budget.charge, inlined
+        if budget.limit is not None:
+            if budget.used >= budget.limit:
+                raise OutOfTime()
+            budget.used += 1
         head = e[0]
-        if type(head) is str and head in PRIMITIVE_ARITY:
-            fn = _VALUE_PRIMITIVES.get(head)
-            if fn is not None:
-                a = evaluate(_arg(e, 1), env, ctx, depth + 1)
-                if PRIMITIVE_ARITY[head] == 1:
+        if type(head) is str:
+            entry = _VALUE_PRIMITIVES.get(head)
+            if entry is not None:
+                fn, arity = entry
+                a = evaluate(e[1], env, ctx, depth + 1) if n > 1 else NIL
+                if arity == 1:
                     return fn(a)
-                return fn(a, evaluate(_arg(e, 2), env, ctx, depth + 1))
-            if head == QUOTE:
-                return _arg(e, 1)
-            if head == "if":
-                cond = evaluate(_arg(e, 1), env, ctx, depth + 1)
-                e = _arg(e, 2) if cond != FALSE else _arg(e, 3)
-                continue
-            if head == "display":
-                v = evaluate(_arg(e, 1), env, ctx, depth + 1)
-                if ctx.emit is not None:
-                    ctx.emit(v)
-                return v
-            if head == "lambda":
-                return e if isinstance(e, Closure) else Closure(e, env)
-            if head == "let":
-                name = _arg(e, 1)
-                value = evaluate(_arg(e, 2), env, ctx, depth + 1)
-                if isinstance(name, str):
-                    env = Env({name: value}, env)
-                e = _arg(e, 3)
-                continue
-            if head == "define":
-                # Bindings happen at the top level; in expression position a
-                # define form is inert and evaluates to the name it mentions.
-                sig = _arg(e, 1)
-                if isinstance(sig, tuple) and sig and isinstance(sig[0], str):
-                    return sig[0]
-                return sig if isinstance(sig, str) else NIL
-            if head == "eval":
-                e = evaluate(_arg(e, 1), env, ctx, depth + 1)
-                env = ctx.genv
-                continue
-            if head == "read-bit":
-                if ctx.stream is None:
-                    raise OutOfData("no binary data in this context")
-                return int(ctx.stream.read(1))
-            if head == "read-exp":
-                if ctx.stream is None:
-                    raise OutOfData("no binary data in this context")
-                try:
-                    return read_exp_from_stream(ctx.stream, ctx.table)
-                except SExprSyntaxError as exc:
-                    # Inside a computation, undecodable data is just bad
-                    # data; the outcome vocabulary stays closed.
-                    raise OutOfData(str(exc)) from exc
-            if head == "try":
-                limit = evaluate(_arg(e, 1), env, ctx, depth + 1)
-                tried = evaluate(_arg(e, 2), env, ctx, depth + 1)
-                data = evaluate(_arg(e, 3), env, ctx, depth + 1)
-                return _try(tried, limit, _coerce_data(data), ctx, depth + 1)
-            if head == "run-utm-on":
-                e = ("cadr", ("try", NO_TIME_LIMIT, (QUOTE, ("eval", ("read-exp",))), _arg(e, 1)))
-                continue
-
-        f = evaluate(head, env, ctx, depth + 1)
+                return fn(a, evaluate(e[2], env, ctx, depth + 1) if n > 2 else NIL)
+            if head in PRIMITIVE_ARITY:
+                if head == QUOTE:
+                    return e[1] if n > 1 else NIL
+                if head == "if":
+                    cond = evaluate(e[1], env, ctx, depth + 1) if n > 1 else NIL
+                    i = 2 if cond != FALSE else 3
+                    e = e[i] if i < n else NIL
+                    continue
+                if head == "display":
+                    v = evaluate(e[1], env, ctx, depth + 1) if n > 1 else NIL
+                    if ctx.emit is not None:
+                        ctx.emit(v)
+                    return v
+                if head == "lambda":
+                    return e if isinstance(e, Closure) else Closure(e, env)
+                if head == "let":
+                    name = e[1] if n > 1 else NIL
+                    value = evaluate(e[2], env, ctx, depth + 1) if n > 2 else NIL
+                    if isinstance(name, str):
+                        env = Env({name: value}, env)
+                    e = e[3] if n > 3 else NIL
+                    continue
+                if head == "define":
+                    # Bindings happen at the top level; in expression position a
+                    # define form is inert and evaluates to the name it mentions.
+                    sig = e[1] if n > 1 else NIL
+                    if isinstance(sig, tuple) and sig and isinstance(sig[0], str):
+                        return sig[0]
+                    return sig if isinstance(sig, str) else NIL
+                if head == "eval":
+                    e = evaluate(e[1], env, ctx, depth + 1) if n > 1 else NIL
+                    env = ctx.genv
+                    continue
+                if head == "read-bit":
+                    if ctx.stream is None:
+                        raise OutOfData("no binary data in this context")
+                    return int(ctx.stream.read(1))
+                if head == "read-exp":
+                    if ctx.stream is None:
+                        raise OutOfData("no binary data in this context")
+                    try:
+                        return read_exp_from_stream(ctx.stream, ctx.table)
+                    except SExprSyntaxError as exc:
+                        # Inside a computation, undecodable data is just bad
+                        # data; the outcome vocabulary stays closed.
+                        raise OutOfData(str(exc)) from exc
+                if head == "try":
+                    limit = evaluate(e[1], env, ctx, depth + 1) if n > 1 else NIL
+                    tried = evaluate(e[2], env, ctx, depth + 1) if n > 2 else NIL
+                    data = evaluate(e[3], env, ctx, depth + 1) if n > 3 else NIL
+                    return _try(tried, limit, _coerce_data(data), ctx, depth + 1)
+                if head == "run-utm-on":
+                    e = ("cadr", ("try", NO_TIME_LIMIT, (QUOTE, ("eval", ("read-exp",))),
+                                  e[1] if n > 1 else NIL))
+                    continue
+            # a symbol in head position is looked up here, as evaluate would:
+            # an atom costs no step and no depth
+            scope = env
+            while scope is not None:
+                if head in scope.bindings:
+                    f = scope.bindings[head]
+                    break
+                scope = scope.parent
+            else:
+                f = head
+        else:
+            f = evaluate(head, env, ctx, depth + 1)
         if isinstance(f, tuple) and len(f) == 3 and f[0] == "lambda":
             params = f[1] if isinstance(f[1], tuple) else ()
             frame = {}
-            for i, p in enumerate(params):
-                v = evaluate(_arg(e, 1 + i), env, ctx, depth + 1)
+            for i, p in enumerate(params, 1):
+                v = evaluate(e[i], env, ctx, depth + 1) if i < n else NIL
                 if isinstance(p, str):
                     frame[p] = v
             env = Env(frame, f.env if isinstance(f, Closure) else ctx.genv)

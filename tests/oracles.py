@@ -6,7 +6,9 @@ instead of the package's dyadic type, the expression enumerator works
 on character strings through the parser instead of building trees, the
 reference readers recurse on nesting where the package's keep a stack, and
 the reference evaluator spells out every primitive in its own branch where
-the package's dispatches value primitives through a table.
+the package's dispatches value primitives through a table, and the
+reference Berry searcher reruns the searcher at each budget of its schedule
+where the package's settles the schedule with one run.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from sdlisp.ait import BerryOutcome, TheoryHandle, _theorem_expression, build_searcher, run_theory
 from sdlisp.bits import BitStream, bits_to_sexpr, bitstrings_up_to
 from sdlisp.interp import (
     FAILURE,
@@ -553,3 +556,49 @@ def try_reference(expr: SExpr, limit: SExpr, data: str, ctx: ReferenceCtx,
         if inner_budget is not parent:
             parent.spend(inner_budget.used)
     return (SUCCESS, value, tuple(captures))
+
+
+# --- reference Berry searcher -------------------------------------------------
+# The searcher rerun from scratch at each budget of the schedule, in order,
+# until one succeeds; the package runs it once and reads the budget off the
+# steps spent.
+
+def berry_searcher_reference(handle: TheoryHandle, schedule) -> BerryOutcome:
+    """Run the searcher over increasing outer budgets.
+
+    A sound theory never names an expression past the threshold, so the
+    searcher exhausts the schedule; an unsound one trips it, and the
+    searcher's value equals the value of the oversized expression it was
+    promised no small program could match.
+    """
+    n = handle.size_chars
+    searcher, constant = build_searcher(handle.source)
+    threshold = n + constant
+    base = BerryOutcome(
+        found=False, searcher_constant=constant, threshold=threshold, theory_size=n,
+    )
+    for budget in schedule:
+        status, payload, _ = Session().try_expression(searcher, budget, "")
+        if status != SUCCESS:
+            continue
+        run = run_theory(handle, budget)
+        malformed = sum(1 for t in run.theorems if _theorem_expression(t) is None)
+        for theorem in run.theorems:
+            expr = _theorem_expression(theorem)
+            if expr is not None and size_chars(expr) > threshold:
+                return BerryOutcome(
+                    found=True,
+                    searcher_constant=constant,
+                    threshold=threshold,
+                    theory_size=n,
+                    value=payload,
+                    theorem=theorem,
+                    theorem_size=size_chars(expr),
+                    budget=budget,
+                    malformed=malformed,
+                )
+        return BerryOutcome(
+            found=True, searcher_constant=constant, threshold=threshold,
+            theory_size=n, value=payload, budget=budget, malformed=malformed,
+        )
+    return base

@@ -27,7 +27,7 @@ from sdlisp.interp import Session
 from sdlisp.sexpr import parse_full, parse_implicit, print_canonical, size_chars, to_bits
 from sdlisp.universal import ComposedUniversal, LispU, ToyDoubling, ToyNumeral, ToyPair
 
-from oracles import brute_force_elegance, first_witness, texts_of_size
+from oracles import berry_searcher_reference, brute_force_elegance, first_witness, texts_of_size
 
 TOY = ToyDoubling()
 
@@ -321,3 +321,41 @@ class TestBerry:
         empty = TheoryHandle(parse_full("(let loop (lambda (l) (l l)) (loop loop))"))
         outcome = berry_searcher(empty, [200, 800])
         assert not outcome.found
+
+
+BERRY_THEORIES = {
+    "sound": sound_mock_theory(),
+    "unsound": unsound_mock_theory(),
+    "loop": TheoryHandle(parse_full("(let loop (lambda (l) (l l)) (loop loop))")),
+    "terminating": TheoryHandle(parse_full("(+ 1 1)")),
+}
+# ascending, descending, duplicated, empty and with 0; the unsound theory's
+# searcher needs 34,084 steps, so its schedules straddle that
+BERRY_SCHEDULES = {
+    "sound": ([256, 1024, 4096], [4096, 1024, 256], [1024, 1024, 256, 256], [],
+              [0], [0, 2048]),
+    "unsound": ([1024, 4096, 40000, 1 << 20], [40000, 4096], [40000, 36000, 34084],
+                [4096, 4096, 40000, 40000], [], [0], [0, 40000],
+                [34083], [34084], [34083, 34084, 34085], [34085, 34084, 34083]),
+    "loop": ([200, 800], [800, 200, 0], [], [0]),
+    "terminating": ([1, 16, 256], [256, 16], [16, 16], [], [0, 64]),
+}
+
+
+class TestBerryOneRun:
+    """One searcher run settles the schedule exactly as rerunning the
+    searcher at each budget in turn does."""
+
+    @pytest.mark.parametrize("theory,schedule", [
+        pytest.param(theory, schedule, id=f"{theory}-[{','.join(map(str, schedule))}]")
+        for theory, schedules in BERRY_SCHEDULES.items() for schedule in schedules])
+    def test_agrees_with_the_rerunning_searcher(self, theory, schedule):
+        handle = BERRY_THEORIES[theory]
+        got = berry_searcher(handle, schedule)
+        assert got == berry_searcher_reference(handle, schedule)
+
+    def test_schedule_may_be_an_iterator(self):
+        handle = BERRY_THEORIES["unsound"]
+        got = berry_searcher(handle, iter([4096, 40000]))
+        assert got == berry_searcher_reference(handle, iter([4096, 40000]))
+        assert got.found and got.budget == 40000

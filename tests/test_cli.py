@@ -301,6 +301,13 @@ class TestUsage:
         assert info.value.code == 2
         assert "expected a whole number >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("schedule", ["-5", "abc", "1024,,4", "1024,-4", "", "4096,"])
+    def test_paradox_schedule_entries_are_naturals(self, capsys, schedule):
+        with pytest.raises(SystemExit) as info:
+            main(["paradox", "--schedule", schedule])
+        assert info.value.code == 2
+        assert "expected a whole number >= 0" in capsys.readouterr().err
+
     def test_zero_sizes_and_budgets_are_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "omega", "--machine", "toy", "--max-len", "0",
                                "--budget", "0")

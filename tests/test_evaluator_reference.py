@@ -163,3 +163,67 @@ def test_package_agrees_with_reference_on_random_programs():
             elif kind == "value":
                 success = value
     assert kinds == {"value", "out-of-time", "out-of-data"}
+
+
+# Application heads the evaluator resolves without a primitive branch: a
+# symbol head is looked up in place, any other head is evaluated.  Drawn from
+# their own seeded stream; subexpressions come from random_program.
+HEAD_KINDS = ("numeral", "unbound symbol", "let-bound value", "primitive bound by let",
+              "quoted lambda", "closure as data", "computed head")
+
+
+def random_application(rng, depth=3):
+    def sub():
+        return random_program(rng, depth - 1)
+
+    kind = rng.choice(HEAD_KINDS)
+    args = tuple(sub() for _ in range(rng.randrange(0, 4)))
+    fn = ("lambda", tuple(rng.sample(VARIABLES, rng.randrange(0, 3))), sub())
+    if kind == "numeral":
+        expr = (rng.randrange(0, 12), *args)
+    elif kind == "unbound symbol":
+        expr = (rng.choice(("g", "nil", "true", "false", "lambda-ish")), *args)
+    elif kind == "let-bound value":
+        expr = ("let", "g", rng.choice((sub(), (QUOTE, (1, 2)), 5)), ("g", *args))
+    elif kind == "primitive bound by let":
+        # in head position the primitive wins; elsewhere the binding does
+        name = rng.choice(sorted(PRIMITIVE_ARITY))
+        call = (name, *(sub() for _ in range(PRIMITIVE_ARITY[name])))
+        expr = ("let", name, rng.choice((fn, sub())), rng.choice((call, ("cons", name, call))))
+    elif kind == "quoted lambda":
+        # a plain lambda list is applied over the global environment
+        expr = rng.choice((((QUOTE, fn), *args), ("let", "g", (QUOTE, fn), ("g", *args))))
+    elif kind == "closure as data":
+        expr = ("let", "g", fn, rng.choice((
+            (("lambda", ("h",), ("h", *args)), "g"),
+            (("car", ("cons", "g", ())), *args),
+            ("cons", "g", ("g", *args)),
+            ("let", "x", ("cons", "g", "x"), (("car", "x"), *args)),
+            # bound one frame further out than the call
+            ("let", rng.choice(VARIABLES), sub(), ("g", *args)),
+        )))
+    else:
+        expr = (("if", sub(), fn, rng.choice((sub(), ()))), *args)
+    return kind, expr
+
+
+def test_package_agrees_with_reference_on_application_heads():
+    rng = random.Random(20032)
+    kinds = set()
+    heads = set()
+    for _ in range(4000):
+        head_kind, expr = random_application(rng)
+        heads.add(head_kind)
+        data = _bits(rng)
+        success = None
+        for budget in BUDGETS:
+            got = _outcome(_package, expr, budget, data)
+            assert got == _outcome(_reference, expr, budget, data), (expr, data, budget)
+            kind, value = got[:2]
+            kinds.add(kind)
+            if success is not None:
+                assert got[:2] == ("value", success), (expr, data, budget)
+            elif kind == "value":
+                success = value
+    assert heads == set(HEAD_KINDS)
+    assert kinds == {"value", "out-of-time", "out-of-data"}

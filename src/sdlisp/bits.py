@@ -47,14 +47,23 @@ class BitStream:
         return f"BitStream({self.bits!r}, pos={self.pos})"
 
 
+def doubled(x: str) -> str:
+    """Each bit of *x* written twice: the body of a doubling codeword."""
+    return x.replace("0", "00").replace("1", "11")
+
+
 def read_doubled(bits: str, i: int = 0) -> tuple[str, int] | None:
     """The doubled word at index *i* of *bits* (each equal pair carries a bit,
     the first unequal pair ends it) and the index past that pair, or None
-    when the bits run out first.  The caller decides which pairs may end it."""
-    for j in range(i, len(bits) - 1, 2):
-        if bits[j] != bits[j + 1]:
-            return bits[i:j:2], j + 2
-    return None
+    when the bits run out first.  The caller decides which pairs may end it.
+    Read as numerals (base 2 has no digit limit), the whole pairs' first and
+    second bits first differ at the first unequal pair."""
+    end = i + (len(bits) - i) // 2 * 2
+    a, b = bits[i:end:2], bits[i + 1:end:2]
+    if a == b:
+        return None
+    j = len(a) - (int(a, 2) ^ int(b, 2)).bit_length()
+    return a[:j], i + 2 * j + 2
 
 
 def all_bitstrings(length: int):
@@ -89,9 +98,12 @@ def parse_bit_text(text: str) -> str:
     return check_bits("".join(stripped.split()))
 
 
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def bits_to_sexpr(bits: str) -> tuple:
     """Bit string as the dialect sees it: a list of 0/1 naturals."""
-    return tuple(int(c) for c in check_bits(bits))
+    return tuple(check_bits(bits).encode().translate(_BIT_VALUES))
 
 
 def sexpr_to_bits(e) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .bits import BitStream, OutOfData, check_bits, read_doubled
+from .bits import BitStream, OutOfData, check_bits, doubled, read_doubled
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def _numeral(n: int) -> str:
 
 def encode_doubling(x: str) -> str:
     """Each bit twice, then the unequal pair 01: 2|x| + 2 bits."""
-    return "".join(c + c for c in check_bits(x)) + "01"
+    return doubled(check_bits(x)) + "01"
 
 
 def decode_doubling(stream: BitStream) -> str:

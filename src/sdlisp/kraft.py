@@ -13,7 +13,9 @@ the left of every shallower one.  The free depths are therefore the 1-bits
 of one minus the used measure, and the leftmost block that can hold a
 2^-s interval is simply the deepest free block no deeper than s.  Splitting
 it frees one right half at each depth it passes, all of them depths that
-held no free block, so the invariant survives every request.
+held no free block, so the invariant survives every request.  The allocator
+keeps the free depths as a bitmask too: that block's depth is the mask's
+highest 1-bit at or below s.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ class Allocator:
     def __init__(self):
         # free[d] = index i of the one free block [i/2^d, (i+1)/2^d) at depth d
         self.free: dict[int, int] = {0: 0}
+        self.free_mask = 1  # bit d set exactly when d is a key of free
         self.assigned: list[tuple[str, SExpr]] = []
 
     def measure_used(self) -> Dyadic:
@@ -54,10 +57,12 @@ class Allocator:
 
     def request(self, req: Requirement) -> str:
         """Assign and return a codeword for *req*; raises Exhausted."""
-        depth = max((d for d in self.free if d <= req.size), default=None)
-        if depth is None:
+        depth = (self.free_mask & ((2 << req.size) - 1)).bit_length() - 1
+        if depth < 0:
             raise Exhausted(f"no free {req.size}-bit codeword")
         index = self.free.pop(depth)
+        # take depth's block; the split below frees depths depth+1..size
+        self.free_mask ^= (1 << depth) | ((2 << req.size) - (2 << depth))
         while depth < req.size:
             # split: descend into the left half, free the right half
             index <<= 1

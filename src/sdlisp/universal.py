@@ -11,15 +11,26 @@ Every machine keeps one contract with the searches that extend programs bit
 by bit (omega.runs): the reason out-of-data means the run needed bits past
 the end of the program, and every other outcome is final for every
 extension of it.
+
+A search builds one :class:`RunResult` per program, so it is a NamedTuple, and
+the non-halting results are shared instances built once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
-from .bits import BitStream, OutOfData, all_bitstrings, check_bits, read_doubled
+from .bits import (
+    BitStream,
+    OutOfData,
+    all_bitstrings,
+    bits_to_sexpr,
+    check_bits,
+    doubled,
+    read_doubled,
+)
 from .dyadic import Dyadic, sum_dyadic
 from .interp import Budget, OutOfTime, Session, evaluate
 from .sexpr import (
@@ -43,8 +54,7 @@ PARSE_ERROR = "parse-error"
 PARTIAL_CONSUMPTION = "partial-consumption"
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     status: str
     value: SExpr | None = None
     consumed: int = 0
@@ -55,16 +65,22 @@ class RunResult:
         return self.status == HALTED
 
 
+_STILL_RUNNING = RunResult(STILL_RUNNING)
+_INVALID = {reason: RunResult(INVALID, reason=reason)
+            for reason in (OUT_OF_DATA, PARSE_ERROR, PARTIAL_CONSUMPTION)}
+
+
 def halted(value: SExpr, consumed: int) -> RunResult:
-    return RunResult(HALTED, value=value, consumed=consumed)
+    return RunResult(HALTED, value, consumed)
 
 
 def still_running() -> RunResult:
-    return RunResult(STILL_RUNNING)
+    return _STILL_RUNNING
 
 
 def invalid(reason: str) -> RunResult:
-    return RunResult(INVALID, reason=reason)
+    """The shared result for out-of-data, parse-error or partial-consumption."""
+    return _INVALID[reason]
 
 
 @lru_cache(maxsize=8)
@@ -186,18 +202,20 @@ class ToyDoubling:
     decides_halting = True
     exact_omega = Dyadic(1, 1)
 
+    _output = staticmethod(bits_to_sexpr)  # the value built from the decoded bits
+
     def run(self, program: str, budget: int | None = None) -> RunResult:
         bits, end = _read_codeword(check_bits(program), 0)
         if bits is None:
             return invalid(end)
         if end != len(program):
             return invalid(PARTIAL_CONSUMPTION)
-        return halted(tuple(map(int, bits)), end)
+        return halted(self._output(bits), end)
 
     def halting_candidates(self, max_len: int):
         for ndoubled in range((max_len - 2) // 2 + 1 if max_len >= 2 else 0):
             for x in all_bitstrings(ndoubled):
-                yield "".join(c + c for c in x) + "01"
+                yield doubled(x) + "01"
 
     def omega_partial(self, max_len: int) -> Dyadic:
         """Analytic mass of the domain restricted to lengths <= max_len.
@@ -211,25 +229,14 @@ class ToyDoubling:
         return Dyadic(1, 1) - Dyadic(1, m + 2)
 
 
-class ToyNumeral:
+class ToyNumeral(ToyDoubling):
     """Doubling-decoded bits read as a binary numeral; outputs a natural."""
 
     name = "toy-numeral"
-    decides_halting = True
-    exact_omega = Dyadic(1, 1)
 
-    def __init__(self):
-        self._toy = ToyDoubling()
-
-    def run(self, program: str, budget: int | None = None) -> RunResult:
-        result = self._toy.run(program, budget)
-        if not result.halted:
-            return result
-        digits = "".join(str(b) for b in result.value)
-        return halted(int(digits, 2) if digits else 0, result.consumed)
-
-    def halting_candidates(self, max_len: int):
-        return self._toy.halting_candidates(max_len)
+    @staticmethod
+    def _output(bits: str) -> int:
+        return int(bits, 2) if bits else 0
 
 
 class ToyPair:
@@ -247,7 +254,7 @@ class ToyPair:
             bits, end = _read_codeword(program, end)
             if bits is None:
                 return invalid(end)
-            parts.append(tuple(map(int, bits)))
+            parts.append(bits_to_sexpr(bits))
         if end != len(program):
             return invalid(PARTIAL_CONSUMPTION)
         return halted(tuple(parts), end)

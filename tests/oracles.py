@@ -6,9 +6,12 @@ instead of the package's dyadic type, the expression enumerator works
 on character strings through the parser instead of building trees, the
 reference readers recurse on nesting where the package's keep a stack, and
 the reference evaluator spells out every primitive in its own branch where
-the package's dispatches value primitives through a table, and the
+the package's dispatches value primitives through a table, the
 reference Berry searcher reruns the searcher at each budget of its schedule
-where the package's settles the schedule with one run.
+where the package's settles the schedule with one run, the reference
+doubling decoder compares pair by pair where the package's compares all
+pairs as two numerals, and the reference allocator scans its free depths
+where the package's reads them off a bitmask.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from sdlisp.sexpr import (
     to_bits,
     tokenize,
 )
+from sdlisp.kraft import Exhausted, Requirement
 from sdlisp.universal import OUT_OF_DATA, LispU, RunResult, halted, invalid, still_running
 
 
@@ -102,6 +106,37 @@ def lispu_run_without_data(bits: str, budget) -> RunResult:
     if payload == "out-of-time":
         return still_running()
     return invalid(OUT_OF_DATA)
+
+
+def read_doubled_reference(bits: str, i: int = 0) -> tuple[str, int] | None:
+    """bits.read_doubled pair by pair: the first unequal pair from index *i*
+    ends the word."""
+    for j in range(i, len(bits) - 1, 2):
+        if bits[j] != bits[j + 1]:
+            return bits[i:j:2], j + 2
+    return None
+
+
+class AllocatorReference:
+    """kraft.Allocator finding the deepest free depth <= s by a scan of its
+    free blocks."""
+
+    def __init__(self):
+        self.free: dict[int, int] = {0: 0}
+        self.assigned: list[tuple[str, SExpr]] = []
+
+    def request(self, req: Requirement) -> str:
+        depth = max((d for d in self.free if d <= req.size), default=None)
+        if depth is None:
+            raise Exhausted(f"no free {req.size}-bit codeword")
+        index = self.free.pop(depth)
+        while depth < req.size:
+            index <<= 1
+            depth += 1
+            self.free[depth] = index + 1
+        codeword = format(index, f"0{req.size}b") if req.size else ""
+        self.assigned.append((codeword, req.output))
+        return codeword
 
 
 def first_fit_by_definition(sizes) -> list[str | None]:

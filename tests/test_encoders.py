@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from sdlisp.bits import BitStream, OutOfData, all_bitstrings, bitstrings_up_to
+from sdlisp.bits import (
+    BitStream,
+    OutOfData,
+    all_bitstrings,
+    bitstrings_up_to,
+    doubled,
+    read_doubled,
+)
 from sdlisp.encoders import (
     CODECS,
     DOUBLING,
@@ -17,6 +24,8 @@ from sdlisp.encoders import (
     make_elegant_codec,
 )
 from sdlisp.universal import ToyNumeral
+
+from oracles import read_doubled_reference
 
 
 class TestDoubling:
@@ -47,6 +56,51 @@ class TestDoubling:
         total = sum(Fraction(1, 2 ** (2 * n + 2)) * 2 ** n for n in range(40))
         assert total == Fraction(1, 2) - Fraction(1, 2 ** 41)
         assert total < Fraction(1, 2)
+
+
+def _pairs_heavy(rng, length):
+    """A bit string of *length* bits whose pairs are equal with a drawn
+    probability, most often close to one: long runs of equal pairs."""
+    p_equal = rng.choice((0.5, 0.9, 0.97, 0.995, 1.0))
+    pairs = []
+    for _ in range(length // 2):
+        bit = rng.choice("01")
+        pairs.append(bit + bit if rng.random() < p_equal else bit + "10"[int(bit)])
+    return "".join(pairs) + rng.choice("01") * (length % 2)
+
+
+class TestReadDoubled:
+    """read_doubled against the pair-by-pair reference."""
+
+    def test_matches_the_reference_on_random_strings(self):
+        rng = random.Random(61)
+        for k in range(5000):
+            length = rng.randrange(81)
+            if k % 2:
+                bits = _pairs_heavy(rng, length)
+            else:
+                bits = "".join(rng.choice("01") for _ in range(length))
+            for i in range(length + 2):
+                assert read_doubled(bits, i) == read_doubled_reference(bits, i), (bits, i)
+
+    def test_matches_the_reference_on_a_long_stream(self):
+        rng = random.Random(67)
+        body = "".join(rng.choice(("00", "11")) for _ in range(49_990))
+        stream = body + "01" + "".join(rng.choice("01") for _ in range(18))
+        assert len(stream) == 100_000
+        starts = [0, 1, 2, 3, len(body) - 1, len(body), len(body) + 1, 99_999, 100_000,
+                  100_001] + [rng.randrange(100_000) for _ in range(10)]
+        for i in starts:
+            assert read_doubled(stream, i) == read_doubled_reference(stream, i), i
+        assert read_doubled(stream, 0) == (body[::2], len(body) + 2)
+        assert read_doubled(body, 0) is None
+        assert read_doubled(body + "0", 0) is None
+
+    def test_reads_back_every_doubled_word(self):
+        for x in bitstrings_up_to(8):
+            assert doubled(x) == "".join(c + c for c in x)
+            for tail in ("", "0", "10"):
+                assert read_doubled(doubled(x) + "01" + tail) == (x, 2 * len(x) + 2)
 
 
 class TestHeaderNumeral:

@@ -15,7 +15,7 @@ from sdlisp.kraft import (
     build_computer,
 )
 
-from oracles import dyadic_as_fraction, first_fit_by_definition
+from oracles import AllocatorReference, dyadic_as_fraction, first_fit_by_definition
 
 
 def take(allocator, sizes):
@@ -165,6 +165,26 @@ class TestFirstFitInvariant:
                 # deeper free blocks lie to the left of shallower ones
                 edges = [Fraction(a.free[d], 2 ** d) for d in sorted(a.free, reverse=True)]
                 assert edges == sorted(edges)
+
+
+    def test_matches_the_scanning_reference(self):
+        rng = random.Random(71)
+        for _ in range(300):
+            # size-0 requests now and then; most streams overfill the space
+            sizes = [0 if rng.random() < 0.03 else rng.randrange(1, 13)
+                     for _ in range(rng.randrange(1, 80))]
+            a, ref = Allocator(), AllocatorReference()
+            for s in sizes:
+                try:
+                    expected = ref.request(Requirement(s, "o"))
+                except Exhausted:
+                    with pytest.raises(Exhausted):
+                        a.request(Requirement(s, "o"))
+                else:
+                    assert a.request(Requirement(s, "o")) == expected, sizes
+                assert a.free == ref.free
+                assert a.free_mask == sum(1 << d for d in a.free)
+            assert a.assigned == ref.assigned
 
 
 class TestBuildComputer:

@@ -18,15 +18,21 @@ from sdlisp.sexpr import (
     to_bits,
 )
 from sdlisp.universal import (
+    OUT_OF_DATA,
+    PARSE_ERROR,
     PARTIAL_CONSUMPTION,
     ComposedUniversal,
     LispU,
+    RunResult,
     ToyDoubling,
     ToyNumeral,
     ToyPair,
     compose_universal,
     encode_program,
+    halted,
+    invalid,
     run_U,
+    still_running,
 )
 
 from oracles import is_doubling_codeword, lispu_run_without_data, toy_domain_up_to
@@ -251,6 +257,16 @@ class TestToyNumeral:
         machine = ToyNumeral()
         assert machine.run("0001").value == 0
 
+    def test_agrees_with_the_doubling_machine(self):
+        toy, numeral = ToyDoubling(), ToyNumeral()
+        for p in bitstrings_up_to(12):
+            a, b = toy.run(p), numeral.run(p)
+            if a.halted:
+                digits = "".join(map(str, a.value))
+                assert b == (a.status, int(digits, 2) if digits else 0, a.consumed, None), p
+            else:
+                assert b == a, p
+
 
 class TestToyPair:
     def test_pairs(self):
@@ -314,3 +330,37 @@ class TestCompose:
     def test_exact_omega_combines(self):
         comp = compose_universal([ToyDoubling(), ToyDoubling()])
         assert str(comp.exact_omega) == "3/8"
+
+
+class TestRunResult:
+    def test_defaults_and_positional_fields(self):
+        assert RunResult("halted") == RunResult("halted", None, 0, None)
+        result = RunResult("halted", (0, 1), 6)
+        assert (result.status, result.value, result.consumed, result.reason) == \
+            ("halted", (0, 1), 6, None)
+        assert result.halted
+        assert halted((0, 1), 6) == result
+
+    def test_fields_cannot_be_assigned(self):
+        result = halted(3, 4)
+        for field in ("status", "value", "consumed", "reason"):
+            with pytest.raises(AttributeError):
+                setattr(result, field, None)
+        assert result == RunResult("halted", 3, 4)
+
+    @pytest.mark.parametrize("reason", [OUT_OF_DATA, PARSE_ERROR, PARTIAL_CONSUMPTION])
+    def test_invalid_results_are_shared(self, reason):
+        result = invalid(reason)
+        assert result == invalid(reason) == RunResult("invalid", reason=reason)
+        assert result is invalid(reason)
+        assert not result.halted
+        assert (result.status, result.value, result.consumed) == ("invalid", None, 0)
+
+    def test_still_running_is_shared(self):
+        result = still_running()
+        assert result.status == "still-running"
+        assert result == RunResult("still-running") and result is still_running()
+        assert not result.halted
+
+    def test_compares_equal_to_a_plain_tuple(self):
+        assert halted(3, 4) == ("halted", 3, 4, None)

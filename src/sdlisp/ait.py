@@ -129,7 +129,7 @@ def _space_of_size(space: ExpressionSpace, size: int) -> tuple:
     for k in range(1, size - 3):
         rests = _space_of_size(space, size - k - 1)
         rests = rests[bisect_left(rests, True, key=lambda e: type(e) is tuple and e != NIL):]
-        out.extend((first, *rest) for first in _space_of_size(space, k) for rest in rests)
+        out.extend((first,) + rest for first in _space_of_size(space, k) for rest in rests)
     if size >= 3:
         out.extend((first,) for first in _space_of_size(space, size - 2))
     return tuple(out)
@@ -137,31 +137,30 @@ def _space_of_size(space: ExpressionSpace, size: int) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Character-level complexity and elegance
-
-def _evaluate_quietly(ctx, expr: SExpr, steps: int | None) -> SExpr | None:
-    """*expr*'s value within *steps* more steps of the search's one budget,
-    or None if it ran out.
-
-    *ctx* is built once per search with no emit, so ``display`` output is
-    dropped; its budget's ``used`` totals the search.
-    """
-    budget = ctx.budget
-    if steps is not None:
-        budget.limit = budget.used + steps
-    try:
-        return evaluate(expr, ctx.genv, ctx)
-    except (OutOfTime, OutOfData):
-        return None
-
+#
+# A character search builds one context with no emit, so ``display`` output
+# is dropped, and one budget, whose ``used`` totals the search: each
+# expression gets *budget* more steps.  A numeral is its own value at no
+# step, so it is taken without a call.
 
 def lisp_complexity_upper(x: SExpr, char_cap: int, budget: int | None,
                           space: ExpressionSpace | None = None) -> ComplexityRecord:
     """Smallest enumerated expression whose value is *x*."""
     space = space or ExpressionSpace()
     ctx = Session()._ctx(Budget(budget))
+    genv, shared = ctx.genv, ctx.budget
     for size in range(1, char_cap + 1):
         for expr in space.of_size(size):
-            if _evaluate_quietly(ctx, expr, budget) == x:
+            if type(expr) is int:
+                value = expr
+            else:
+                if budget is not None:
+                    shared.limit = shared.used + budget
+                try:
+                    value = evaluate(expr, genv, ctx)
+                except (OutOfTime, OutOfData):
+                    continue
+            if value == x:
                 return ComplexityRecord(
                     target=x,
                     witness=expr,
@@ -194,10 +193,12 @@ def elegant_search(char_cap: int, budget: int | None,
     An expression is budget-elegant at these caps when no strictly smaller
     enumerated expression evaluates to the same value within the budget.
     Enlarging the budget can only reveal more collisions, so non-elegance
-    is final; elegance is always relative to the caps.
+    is final; elegance is always relative to the caps.  A numeral is its
+    own value and costs no step, so it is listed under any budget, even 0.
     """
     space = space or ExpressionSpace()
     ctx = Session()._ctx(Budget(budget))
+    genv, shared = ctx.genv, ctx.budget
     listing: dict = {}
     min_size: dict = {}
     elegant: list = []
@@ -205,9 +206,15 @@ def elegant_search(char_cap: int, budget: int | None,
     # here keeps the listing's order
     for size in range(1, char_cap + 1):
         for expr in space.of_size(size):
-            value = _evaluate_quietly(ctx, expr, budget)
-            if value is None:
-                continue
+            if type(expr) is int:
+                value = expr
+            else:
+                if budget is not None:
+                    shared.limit = shared.used + budget
+                try:
+                    value = evaluate(expr, genv, ctx)
+                except (OutOfTime, OutOfData):
+                    continue
             listing[expr] = value
             if min_size.setdefault(value, size) == size:
                 elegant.append((expr, value))
@@ -401,9 +408,10 @@ def berry_searcher(handle: TheoryHandle, schedule: Iterable[int]) -> BerryOutcom
     schedule = list(schedule)
     if not schedule:
         return base
-    ctx = Session()._ctx(Budget(None))
-    payload = _evaluate_quietly(ctx, searcher, max(schedule))
-    if payload is None:
+    ctx = Session()._ctx(Budget(max(schedule)))
+    try:
+        payload = evaluate(searcher, ctx.genv, ctx)
+    except (OutOfTime, OutOfData):
         return base
     budget = next(b for b in schedule if b >= ctx.budget.used)
     run = run_theory(handle, budget)

@@ -22,7 +22,9 @@ for the forms that steer evaluation or use the context.
 ``evaluate`` is the hot loop of every search, so it makes no call per step
 that it can do without: it charges the step inline, with
 :meth:`Budget.charge` as the rule's specification, fetches arguments by
-index against one ``len``, and looks a symbol in head position up in place
+index against one ``len``, and takes an atom in head position, or as an
+argument of a value primitive or of a lambda application, in place instead
+of calling itself: a numeral or nil as itself, a symbol by the scope walk
 (an atom costs no step and no depth, so this is exactly what evaluating it
 would do).
 
@@ -232,10 +234,27 @@ def evaluate(e: SExpr, env: Env, ctx: _Ctx, depth: int = 0) -> SExpr:
             entry = _VALUE_PRIMITIVES.get(head)
             if entry is not None:
                 fn, arity = entry
-                a = evaluate(e[1], env, ctx, depth + 1) if n > 1 else NIL
+                a = e[1] if n > 1 else NIL
+                if type(a) is str:
+                    scope = env
+                    while scope is not None and a not in scope.bindings:
+                        scope = scope.parent
+                    if scope is not None:
+                        a = scope.bindings[a]
+                elif type(a) is not int and a:
+                    a = evaluate(a, env, ctx, depth + 1)
                 if arity == 1:
                     return fn(a)
-                return fn(a, evaluate(e[2], env, ctx, depth + 1) if n > 2 else NIL)
+                b = e[2] if n > 2 else NIL
+                if type(b) is str:
+                    scope = env
+                    while scope is not None and b not in scope.bindings:
+                        scope = scope.parent
+                    if scope is not None:
+                        b = scope.bindings[b]
+                elif type(b) is not int and b:
+                    b = evaluate(b, env, ctx, depth + 1)
+                return fn(a, b)
             if head in PRIMITIVE_ARITY:
                 if head == QUOTE:
                     return e[1] if n > 1 else NIL
@@ -294,20 +313,26 @@ def evaluate(e: SExpr, env: Env, ctx: _Ctx, depth: int = 0) -> SExpr:
             # a symbol in head position is looked up here, as evaluate would:
             # an atom costs no step and no depth
             scope = env
-            while scope is not None:
-                if head in scope.bindings:
-                    f = scope.bindings[head]
-                    break
+            while scope is not None and head not in scope.bindings:
                 scope = scope.parent
-            else:
-                f = head
+            f = head if scope is None else scope.bindings[head]
+        elif type(head) is int or not head:
+            return NIL  # a numeral or nil is itself, and applies as nil
         else:
             f = evaluate(head, env, ctx, depth + 1)
         if isinstance(f, tuple) and len(f) == 3 and f[0] == "lambda":
             params = f[1] if isinstance(f[1], tuple) else ()
             frame = {}
             for i, p in enumerate(params, 1):
-                v = evaluate(e[i], env, ctx, depth + 1) if i < n else NIL
+                v = e[i] if i < n else NIL
+                if type(v) is str:
+                    scope = env
+                    while scope is not None and v not in scope.bindings:
+                        scope = scope.parent
+                    if scope is not None:
+                        v = scope.bindings[v]
+                elif type(v) is not int and v:
+                    v = evaluate(v, env, ctx, depth + 1)
                 if isinstance(p, str):
                     frame[p] = v
             env = Env(frame, f.env if isinstance(f, Closure) else ctx.genv)

@@ -23,11 +23,18 @@ from sdlisp.ait import (
 )
 from sdlisp.bits import bitstrings_up_to
 from sdlisp.dyadic import Dyadic
-from sdlisp.interp import Session
+from sdlisp.interp import Budget, OutOfData, OutOfTime, Session
 from sdlisp.sexpr import parse_full, parse_implicit, print_canonical, size_chars, to_bits
 from sdlisp.universal import ComposedUniversal, LispU, ToyDoubling, ToyNumeral, ToyPair
 
-from oracles import berry_searcher_reference, brute_force_elegance, first_witness, texts_of_size
+from oracles import (
+    ReferenceCtx,
+    berry_searcher_reference,
+    brute_force_elegance,
+    evaluate_reference,
+    first_witness,
+    texts_of_size,
+)
 
 TOY = ToyDoubling()
 
@@ -112,6 +119,25 @@ class TestLispComplexity:
         assert record.size == len(text)
 
 
+def _elegance_by_reference(char_cap, budget, space):
+    """The listing, minimum sizes and elegant pairs, rebuilt from assembled
+    texts with the reference evaluator and a fresh budget per expression."""
+    session = Session()
+    listing, min_size, elegant = {}, {}, []
+    for size in range(1, char_cap + 1):
+        for text in texts_of_size(size, space.symbols, space.numeral_limit):
+            expr = parse_full(text)
+            ctx = ReferenceCtx(Budget(budget), None, [], session.genv, session.table)
+            try:
+                value = evaluate_reference(expr, session.genv, ctx)
+            except (OutOfTime, OutOfData):
+                continue
+            listing[expr] = value
+            if min_size.setdefault(value, size) == size:
+                elegant.append((expr, value))
+    return listing, min_size, tuple(elegant)
+
+
 class TestElegance:
     def test_every_numeral_is_elegant(self):
         report = elegant_search(3, 64, ExpressionSpace(numeral_limit=999))
@@ -171,6 +197,23 @@ class TestElegance:
         assert report.listing == listing
         assert report.min_size == min_size
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("char_cap, budget, space", [
+        (8, 0, ExpressionSpace(numeral_limit=9)),
+        (8, 1, ExpressionSpace(numeral_limit=9)),
+        (8, 2, ExpressionSpace(numeral_limit=9)),
+        (8, 64, ExpressionSpace(numeral_limit=9)),
+        # every list runs out of time, and every numeral keeps its value
+        (4, 0, ExpressionSpace(numeral_limit=999)),
+    ])
+    def test_matches_the_reference_evaluator(self, char_cap, budget, space):
+        # brute_force_elegance evaluates with the package's own evaluator; this
+        # one does not, so it sees a change to evaluate or to the search's loop
+        report = elegant_search(char_cap, budget, space)
+        listing, min_size, elegant = _elegance_by_reference(char_cap, budget, space)
+        assert list(report.listing.items()) == list(listing.items())
+        assert report.min_size == min_size
+        assert report.elegant == elegant
 
 
 class TestExpressionSpace:

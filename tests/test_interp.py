@@ -2,6 +2,7 @@
 
 import pytest
 
+from sdlisp import interp
 from sdlisp.interp import (
     Budget,
     Closure,
@@ -198,6 +199,54 @@ class TestBudgets:
             s = Session()
             s.run_source(FACTORIAL)
             assert s.evaluate(parse_implicit("(f 4)", s.table), budget=t) == 24
+
+
+class TestAtomCalls:
+    """An atom costs no step and no depth, so ``evaluate`` takes it in place:
+    one call per non-atomic expression outside a tail position, none per
+    atom, in head position or as an argument of a value primitive or of a
+    lambda application."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        evaluate = interp.evaluate
+
+        def counting(*args):
+            seen.append(args[0])
+            return evaluate(*args)
+
+        monkeypatch.setattr(interp, "evaluate", counting)
+        return seen
+
+    @pytest.fixture
+    def session(self):
+        session = Session()
+        session.run_source("define x 5\ndefine y ' (1 2)\ndefine (f a b) (cons a b)")
+        return session
+
+    @pytest.mark.parametrize("text, value, count", [
+        ("(1 2 3)", (), 1),
+        ("(nil 1 2)", (), 1),
+        ("(zebra 1 2)", (), 1),
+        ("(+ 1 2)", 3, 1),
+        ("(+ x x)", 10, 1),
+        ("(car y)", 1, 1),
+        ("(cons x nil)", (5,), 1),
+        ("(cons zebra y)", ("zebra", 1, 2), 1),
+        ("(f 1 2)", (1,), 1),
+        ("(f x y)", (5, 1, 2), 1),
+        ("((lambda (a b) (+ a b)) 3 4)", 7, 2),
+        ("((lambda (a b) (+ a b)) x x)", 10, 2),
+        ("(+ (* 2 3) x)", 11, 2),
+        ("(f (car y) (cdr y))", (1, 2), 3),
+    ])
+    def test_one_call_per_non_atomic_expression(self, session, calls, text, value, count):
+        expr = parse_full(text)
+        calls.clear()
+        assert session.evaluate(expr) == value
+        assert len(calls) == count
+        assert all(isinstance(e, tuple) and e for e in calls)
 
 
 class TestTry:

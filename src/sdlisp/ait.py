@@ -148,7 +148,7 @@ def lisp_complexity_upper(x: SExpr, char_cap: int, budget: int | None,
     """Smallest enumerated expression whose value is *x*."""
     space = space or ExpressionSpace()
     ctx = Session()._ctx(Budget(budget))
-    genv, shared = ctx.genv, ctx.budget
+    shared = ctx.budget
     for size in range(1, char_cap + 1):
         for expr in space.of_size(size):
             if type(expr) is int:
@@ -157,7 +157,7 @@ def lisp_complexity_upper(x: SExpr, char_cap: int, budget: int | None,
                 if budget is not None:
                     shared.limit = shared.used + budget
                 try:
-                    value = evaluate(expr, genv, ctx)
+                    value = evaluate(expr, {}, ctx)
                 except (OutOfTime, OutOfData):
                     continue
             if value == x:
@@ -198,7 +198,7 @@ def elegant_search(char_cap: int, budget: int | None,
     """
     space = space or ExpressionSpace()
     ctx = Session()._ctx(Budget(budget))
-    genv, shared = ctx.genv, ctx.budget
+    shared = ctx.budget
     listing: dict = {}
     min_size: dict = {}
     elegant: list = []
@@ -212,7 +212,7 @@ def elegant_search(char_cap: int, budget: int | None,
                 if budget is not None:
                     shared.limit = shared.used + budget
                 try:
-                    value = evaluate(expr, genv, ctx)
+                    value = evaluate(expr, {}, ctx)
                 except (OutOfTime, OutOfData):
                     continue
             listing[expr] = value
@@ -410,7 +410,7 @@ def berry_searcher(handle: TheoryHandle, schedule: Iterable[int]) -> BerryOutcom
         return base
     ctx = Session()._ctx(Budget(max(schedule)))
     try:
-        payload = evaluate(searcher, ctx.genv, ctx)
+        payload = evaluate(searcher, {}, ctx)
     except (OutOfTime, OutOfData):
         return base
     budget = next(b for b in schedule if b >= ctx.budget.used)

@@ -23,18 +23,23 @@ for the forms that steer evaluation or use the context.
 that it can do without: it charges the step inline, with
 :meth:`Budget.charge` as the rule's specification, fetches arguments by
 index against one ``len``, and takes an atom in head position, or as an
-argument of a value primitive or of a lambda application, in place instead
-of calling itself: a numeral or nil as itself, a symbol by the scope walk
-(an atom costs no step and no depth, so this is exactly what evaluating it
-would do).
+argument of a value primitive or of a lambda application, in place (an atom
+costs no step and no depth): a numeral or nil as itself, a symbol as its
+binding in the local frame, else in the session's globals, else itself.
 
-Functions close over their defining environment, and a closure *is* the
-S-expression ``(lambda (params) body)`` - :class:`Closure` subclasses tuple -
-so function values print, compare, and hash like any other value.  A plain
-lambda list arriving as data is applied over the global environment.
-``eval`` likewise evaluates in the session's global environment (primitives
-plus top-level defines, no local bindings), which keeps programs fed to the
-universal computer independent of where they are evaluated.
+A local frame is one flat dict of every local binding in scope: ``let``
+copies it with one name added, and a lambda application copies its
+closure's.  A copy costs at most the number of distinct names in the
+program text, which a chain of frames would pay per lookup instead; search
+frames hold about six names, while a 16,000-deep tail ``let`` chain takes
+2 s (0.03 s as a chain; 2 vCPUs, CPython 3.11.7).  A closure *is* the
+S-expression ``(lambda (params) body)`` (:class:`Closure` subclasses
+tuple), so function values print, compare, and hash like any other value.
+It keeps its local frame but reads the globals when applied, so it sees a
+later top-level ``define``; one narrowing: applied in another
+:class:`Session`, it reads that session's globals.  A plain lambda list
+arriving as data, ``eval`` and ``try`` run over the globals alone, so a
+program fed to the universal computer means the same anywhere.
 
 Nesting depth is counted like steps: an argument, a condition or the
 expression a ``try`` runs is one level deeper, a tail position (``if``
@@ -117,31 +122,21 @@ class Budget:
             self.used += steps
 
 
-class Env:
-    """A frame of bindings with a link to the frame beneath it."""
-
-    __slots__ = ("bindings", "parent")
-
-    def __init__(self, bindings: dict[str, SExpr], parent: "Env | None" = None):
-        self.bindings = bindings
-        self.parent = parent
-
-
 class Closure(tuple):
-    """A function value: the lambda form itself, plus where it was made.
+    """A function value: the lambda form itself, plus its local frame.
 
     Being a tuple, it is structurally the S-expression (lambda params body);
     only application looks at the attached environment.
     """
 
-    def __new__(cls, form: tuple, env: Env):
+    def __new__(cls, form: tuple, env: dict[str, SExpr]):
         self = super().__new__(cls, form)
         self.env = env
         return self
 
 
 class _Ctx:
-    """Everything one evaluation threads along besides the environment."""
+    """Everything one evaluation threads along besides the local frame."""
 
     __slots__ = ("budget", "stream", "genv", "table", "emit")
 
@@ -207,17 +202,12 @@ _VALUE_PRIMITIVES = {name: (fn, PRIMITIVE_ARITY[name]) for name, fn in {
 }.items()}
 
 
-def evaluate(e: SExpr, env: Env, ctx: _Ctx, depth: int = 0) -> SExpr:
+def evaluate(e: SExpr, env: dict[str, SExpr], ctx: _Ctx, depth: int = 0) -> SExpr:
     while True:
         if type(e) is int:
             return e
         if type(e) is str:
-            scope = env
-            while scope is not None:
-                if e in scope.bindings:
-                    return scope.bindings[e]
-                scope = scope.parent
-            return e
+            return env[e] if e in env else ctx.genv.get(e, e)
         n = len(e)
         if not n:
             return NIL
@@ -236,22 +226,14 @@ def evaluate(e: SExpr, env: Env, ctx: _Ctx, depth: int = 0) -> SExpr:
                 fn, arity = entry
                 a = e[1] if n > 1 else NIL
                 if type(a) is str:
-                    scope = env
-                    while scope is not None and a not in scope.bindings:
-                        scope = scope.parent
-                    if scope is not None:
-                        a = scope.bindings[a]
+                    a = env[a] if a in env else ctx.genv.get(a, a)
                 elif type(a) is not int and a:
                     a = evaluate(a, env, ctx, depth + 1)
                 if arity == 1:
                     return fn(a)
                 b = e[2] if n > 2 else NIL
                 if type(b) is str:
-                    scope = env
-                    while scope is not None and b not in scope.bindings:
-                        scope = scope.parent
-                    if scope is not None:
-                        b = scope.bindings[b]
+                    b = env[b] if b in env else ctx.genv.get(b, b)
                 elif type(b) is not int and b:
                     b = evaluate(b, env, ctx, depth + 1)
                 return fn(a, b)
@@ -274,7 +256,7 @@ def evaluate(e: SExpr, env: Env, ctx: _Ctx, depth: int = 0) -> SExpr:
                     name = e[1] if n > 1 else NIL
                     value = evaluate(e[2], env, ctx, depth + 1) if n > 2 else NIL
                     if isinstance(name, str):
-                        env = Env({name: value}, env)
+                        env = {**env, name: value}
                     e = e[3] if n > 3 else NIL
                     continue
                 if head == "define":
@@ -286,7 +268,7 @@ def evaluate(e: SExpr, env: Env, ctx: _Ctx, depth: int = 0) -> SExpr:
                     return sig if isinstance(sig, str) else NIL
                 if head == "eval":
                     e = evaluate(e[1], env, ctx, depth + 1) if n > 1 else NIL
-                    env = ctx.genv
+                    env = {}
                     continue
                 if head == "read-bit":
                     if ctx.stream is None:
@@ -312,37 +294,30 @@ def evaluate(e: SExpr, env: Env, ctx: _Ctx, depth: int = 0) -> SExpr:
                     continue
             # a symbol in head position is looked up here, as evaluate would:
             # an atom costs no step and no depth
-            scope = env
-            while scope is not None and head not in scope.bindings:
-                scope = scope.parent
-            f = head if scope is None else scope.bindings[head]
+            f = env[head] if head in env else ctx.genv.get(head, head)
         elif type(head) is int or not head:
             return NIL  # a numeral or nil is itself, and applies as nil
         else:
             f = evaluate(head, env, ctx, depth + 1)
         if isinstance(f, tuple) and len(f) == 3 and f[0] == "lambda":
             params = f[1] if isinstance(f[1], tuple) else ()
-            frame = {}
+            frame = dict(f.env) if isinstance(f, Closure) else {}
             for i, p in enumerate(params, 1):
                 v = e[i] if i < n else NIL
                 if type(v) is str:
-                    scope = env
-                    while scope is not None and v not in scope.bindings:
-                        scope = scope.parent
-                    if scope is not None:
-                        v = scope.bindings[v]
+                    v = env[v] if v in env else ctx.genv.get(v, v)
                 elif type(v) is not int and v:
                     v = evaluate(v, env, ctx, depth + 1)
                 if isinstance(p, str):
                     frame[p] = v
-            env = Env(frame, f.env if isinstance(f, Closure) else ctx.genv)
+            env = frame
             e = f[2]
             continue
         return NIL
 
 
 def _try(expr: SExpr, limit: SExpr, data: str, ctx: _Ctx, depth: int = 0) -> SExpr:
-    """Run *expr* in a fresh global environment over its own data stream.
+    """Run *expr* over the globals alone, with its own data stream.
 
     Returns the outcome triple.  Out-of-time is a value of this TRY only
     when the declared limit itself was hit, or when *expr* nested too deep;
@@ -367,7 +342,7 @@ def _try(expr: SExpr, limit: SExpr, data: str, ctx: _Ctx, depth: int = 0) -> SEx
     captures: list[SExpr] = []
     inner = _Ctx(inner_budget, BitStream(data), ctx.genv, ctx.table, captures.append)
     try:
-        value = evaluate(expr, ctx.genv, inner, depth)
+        value = evaluate(expr, {}, inner, depth)
     except DepthExceeded:
         return (FAILURE, OUT_OF_TIME, tuple(captures))
     except OutOfTime:
@@ -390,7 +365,7 @@ class Session:
         # host stack is made deep enough for MAX_DEPTH; it is never lowered
         if sys.getrecursionlimit() < _RECURSION_LIMIT:
             sys.setrecursionlimit(_RECURSION_LIMIT)
-        self.genv = Env({})
+        self.genv: dict[str, SExpr] = {}
         self.table = ArityTable()
         self.emit = emit
 
@@ -400,7 +375,7 @@ class Session:
         return _Ctx(budget, stream, self.genv, self.table, emit)
 
     def evaluate(self, e: SExpr, budget: int | None = None) -> SExpr:
-        return evaluate(e, self.genv, self._ctx(Budget(budget)))
+        return evaluate(e, {}, self._ctx(Budget(budget)))
 
     def try_expression(self, e: SExpr, limit: int | None, data: str) -> tuple:
         """Host-side TRY: returns the (status payload captures) triple."""
@@ -414,11 +389,11 @@ class Session:
         if isinstance(sig, tuple) and sig and isinstance(sig[0], str):
             name = sig[0]
             params = tuple(p for p in sig[1:])
-            self.genv.bindings[name] = ("lambda", params, body)
+            self.genv[name] = ("lambda", params, body)
             self.table.define(name, len(params))
             return name
         if isinstance(sig, str):
-            self.genv.bindings[sig] = self.evaluate(body)
+            self.genv[sig] = self.evaluate(body)
             return sig
         return None
 

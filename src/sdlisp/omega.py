@@ -123,15 +123,13 @@ def omega_prime_lower(machine, n_max: int, size_cap: int, budget: int | None) ->
 
     Each term uses an upper bound on the program size of N, so each term is
     a lower bound, and the range is finite: this is a lower bound of a lower
-    bound, reported as nothing more.
+    bound, reported as nothing more.  One walk serves every N: in its
+    (length, lexicographic) order the first program that halts with N is
+    the witness H_upper would find.
     """
-    from .ait import H_upper, SearchExhausted
-
-    def sizes():
-        for n in range(n_max + 1):
-            try:
-                yield H_upper(n, machine, size_cap, budget).size
-            except SearchExhausted:
-                pass
-
-    return mass(sizes())
+    wanted = range(n_max + 1)
+    sizes: dict[int, int] = {}
+    for p, result in runs(machine, size_cap, budget):
+        if result.halted and type(result.value) is int and result.value in wanted:
+            sizes.setdefault(result.value, len(p))
+    return mass(sizes.values())

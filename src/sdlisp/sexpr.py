@@ -88,9 +88,6 @@ class ArityTable:
         if name not in PRIMITIVE_ARITY:
             self.user[name] = arity
 
-    def copy(self) -> "ArityTable":
-        return ArityTable(self.user)
-
 
 _WHITESPACE = " \t\r\n"
 _SPECIAL = "()'"

@@ -143,7 +143,7 @@ class LispU:
             return invalid(PARSE_ERROR)
         ctx = session._ctx(bud, stream=stream)
         try:
-            value = evaluate(expr, session.genv, ctx)
+            value = evaluate(expr, {}, ctx)
         except OutOfTime:
             return still_running()
         except OutOfData as exc:

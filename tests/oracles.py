@@ -6,7 +6,9 @@ instead of the package's dyadic type, the expression enumerator works
 on character strings through the parser instead of building trees, the
 reference readers recurse on nesting where the package's keep a stack, and
 the reference evaluator spells out every primitive in its own branch where
-the package's dispatches value primitives through a table, the
+the package's dispatches value primitives through a table, and finds a name
+by walking a chain of frames down to the globals where the package's looks
+in one flat dict of locals and then in the globals, the
 reference Berry searcher reruns the searcher at each budget of its schedule
 where the package's settles the schedule with one run, the reference
 doubling decoder compares pair by pair where the package's compares all
@@ -32,7 +34,6 @@ from sdlisp.interp import (
     Budget,
     Closure,
     DepthExceeded,
-    Env,
     OutOfData,
     OutOfTime,
     Session,
@@ -213,7 +214,7 @@ def brute_force_elegance(char_cap: int, budget: int | None, symbols: tuple[str, 
             assert print_canonical(expr) == text, f"non-canonical text {text!r}"
             ctx = session._ctx(Budget(budget), stream=None, captures=[])
             try:
-                value = evaluate(expr, session.genv, ctx)
+                value = evaluate(expr, {}, ctx)
             except (OutOfTime, OutOfData):
                 continue
             listing[expr] = value
@@ -237,7 +238,7 @@ def first_witness(x, char_cap: int, budget: int | None, symbols: tuple[str, ...]
         for text in texts_of_size(size, symbols, numeral_limit):
             ctx = session._ctx(Budget(budget), stream=None, captures=[])
             try:
-                if evaluate(parse_full(text), session.genv, ctx) == x:
+                if evaluate(parse_full(text), {}, ctx) == x:
                     return text, out_of_time
             except OutOfTime:
                 out_of_time += 1
@@ -399,6 +400,17 @@ def iter_forms_reference(text: str, table: ArityTable | None = None):
 # One branch per primitive, each evaluating its own count of arguments, and a
 # context that carries captures beside emit; the package's evaluator must
 # agree with it on every outcome, step count and displayed value.
+
+class Env:
+    """A frame of bindings with a link to the frame beneath it; the globals
+    are the bottom frame."""
+
+    __slots__ = ("bindings", "parent")
+
+    def __init__(self, bindings: dict[str, SExpr], parent: "Env | None" = None):
+        self.bindings = bindings
+        self.parent = parent
+
 
 class ReferenceCtx:
     """Everything one evaluation threads along besides the environment."""

@@ -28,6 +28,7 @@ from sdlisp.sexpr import parse_full, parse_implicit, print_canonical, size_chars
 from sdlisp.universal import ComposedUniversal, LispU, ToyDoubling, ToyNumeral, ToyPair
 
 from oracles import (
+    Env,
     ReferenceCtx,
     berry_searcher_reference,
     brute_force_elegance,
@@ -127,9 +128,10 @@ def _elegance_by_reference(char_cap, budget, space):
     for size in range(1, char_cap + 1):
         for text in texts_of_size(size, space.symbols, space.numeral_limit):
             expr = parse_full(text)
-            ctx = ReferenceCtx(Budget(budget), None, [], session.genv, session.table)
+            genv = Env(session.genv)
+            ctx = ReferenceCtx(Budget(budget), None, [], genv, session.table)
             try:
-                value = evaluate_reference(expr, session.genv, ctx)
+                value = evaluate_reference(expr, genv, ctx)
             except (OutOfTime, OutOfData):
                 continue
             listing[expr] = value

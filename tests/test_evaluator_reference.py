@@ -1,12 +1,13 @@
 """The evaluator against its reference, on seeded random programs.
 
-The package dispatches value primitives through one table; the reference
-in ``oracles`` spells out every primitive in its own branch.  On programs
-built from every primitive, ``lambda``, ``let`` and ``try`` over data that
-``read-bit`` and ``read-exp`` consume, both must agree on the outcome, the
-value, the steps used, the displayed values and the data read, at every
-budget.  The same runs check that the evaluator is total and that success
-is budget-monotone.
+The package dispatches value primitives through one table and finds a name
+in a flat dict of locals, then in the globals; the reference in ``oracles``
+spells out every primitive in its own branch and walks a chain of frames.
+On programs built from every primitive, ``lambda``, ``let`` and ``try``
+over data that ``read-bit`` and ``read-exp`` consume, and over globals that
+free names read, both must agree on the outcome, the value, the steps used,
+the displayed values and the data read, at every budget.  The same runs
+check that the evaluator is total and that success is budget-monotone.
 """
 
 import ast
@@ -19,7 +20,7 @@ from sdlisp.bits import BitStream, OutOfData
 from sdlisp.interp import NO_TIME_LIMIT, Budget, OutOfTime, Session, evaluate
 from sdlisp.sexpr import PRIMITIVE_ARITY, QUOTE, to_bits
 
-from oracles import ReferenceCtx, evaluate_reference
+from oracles import Env, ReferenceCtx, evaluate_reference
 
 BUDGETS = (0, 1, 2, 7, 64, 1000)
 VARIABLES = ("x", "y", "f")
@@ -118,14 +119,20 @@ def random_program(rng, depth=4):
     ))()
 
 
+# Both evaluators run over the same globals: a value and a function, so a
+# free ``y`` reads 3 and ``g`` applies.  No run can change them, since a
+# define in expression position binds nothing.
+GLOBALS = Session()
+GLOBALS.run_source("define y 3\ndefine (g x) (cons x y)")
+
+
 def _outcome(run, expr, budget, data):
     """(kind, value, steps used, displayed values, bits read)."""
-    session = Session()
     bud = Budget(budget)
     stream = BitStream(data)
     captures = []
     try:
-        value = run(session, expr, bud, stream, captures)
+        value = run(GLOBALS, expr, bud, stream, captures)
         kind = "value"
     except OutOfTime:
         value, kind = None, "out-of-time"
@@ -135,12 +142,13 @@ def _outcome(run, expr, budget, data):
 
 
 def _package(session, expr, bud, stream, captures):
-    return evaluate(expr, session.genv, session._ctx(bud, stream=stream, captures=captures))
+    return evaluate(expr, {}, session._ctx(bud, stream=stream, captures=captures))
 
 
 def _reference(session, expr, bud, stream, captures):
-    ctx = ReferenceCtx(bud, stream, captures, session.genv, session.table)
-    return evaluate_reference(expr, session.genv, ctx)
+    genv = Env(session.genv)
+    ctx = ReferenceCtx(bud, stream, captures, genv, session.table)
+    return evaluate_reference(expr, genv, ctx)
 
 
 def test_package_agrees_with_reference_on_random_programs():
@@ -168,7 +176,7 @@ def test_package_agrees_with_reference_on_random_programs():
 # Application heads the evaluator resolves without a primitive branch: a
 # symbol head is looked up in place, any other head is evaluated.  Drawn from
 # their own seeded stream; subexpressions come from random_program.
-HEAD_KINDS = ("numeral", "unbound symbol", "let-bound value", "primitive bound by let",
+HEAD_KINDS = ("numeral", "global or unbound symbol", "let-bound value", "primitive bound by let",
               "quoted lambda", "closure as data", "computed head")
 
 
@@ -181,7 +189,7 @@ def random_application(rng, depth=3):
     fn = ("lambda", tuple(rng.sample(VARIABLES, rng.randrange(0, 3))), sub())
     if kind == "numeral":
         expr = (rng.randrange(0, 12), *args)
-    elif kind == "unbound symbol":
+    elif kind == "global or unbound symbol":
         expr = (rng.choice(("g", "nil", "true", "false", "lambda-ish")), *args)
     elif kind == "let-bound value":
         expr = ("let", "g", rng.choice((sub(), (QUOTE, (1, 2)), 5)), ("g", *args))

@@ -129,7 +129,32 @@ class TestPrimitives:
     def test_define_in_expression_position_is_inert(self):
         session = Session()
         assert ev("define (h x) x", session=session) == "h"
-        assert "h" not in session.genv.bindings
+        assert "h" not in session.genv
+
+
+class TestGlobalsAndScope:
+    """Locals shadow globals; globals are read when used, not when a closure
+    is made."""
+
+    def test_closure_sees_globals_defined_and_redefined_later(self):
+        results = run_source(
+            "(define x 1)"
+            " (define f (let y 2 (lambda (z) (+ x (h y)))))"
+            " (f 0)"
+            " (define (h n) n)"
+            " (f 0)"
+            " (define x 5)"
+            " (f 0)")
+        assert [v for kind, v in results if kind == "value"] == [1, 3, 7]
+
+    def test_parameters_and_let_shadow_globals(self):
+        session = Session()
+        session.run_source("define x 10\ndefine (g x) (+ x 1)")
+        assert ev("(g 1)", session=session) == 2
+        assert ev("let x 3 (+ x x)", session=session) == 6
+        assert ev("let x 3 (g x)", session=session) == 4
+        assert ev("let f (lambda (x) (* x 2)) (f 7)", session=session) == 14
+        assert ev("x", session=session) == 10
 
 
 class TestRunSource:
@@ -294,12 +319,18 @@ class TestTry:
 
     def test_fresh_global_environment_hides_locals(self):
         assert self.ev_try("let x 5 (try 99 (' x) nil)") == ("success", "x", ())
+        session = Session()
+        session.run_source("define x 10")
+        text = "let x 5 (let y 6 (try 99 (' (cons x (cons y nil))) nil))"
+        assert self.ev_try(text, session=session) == ("success", (10, "y"), ())
 
     def test_eval_uses_global_not_local(self):
         assert ev("let x 5 (eval (' x))") == "x"
         session = Session()
         session.run_source("define x 12")
         assert ev("let x 5 (eval (' x))", session=session) == 12
+        assert ev("((lambda (x y) (eval (' (cons x (cons y nil))))) 5 6)",
+                  session=session) == (12, "y")
 
     def test_limit_that_is_not_a_number_or_marker_means_zero(self):
         assert self.ev_try("try frog (' (+ 1 2)) nil") == ("failure", "out-of-time", ())

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sdlisp.ait import H_upper, SearchExhausted
 from sdlisp.bits import bitstrings_up_to
 from sdlisp.dyadic import Dyadic
 from sdlisp.omega import (
@@ -227,3 +228,25 @@ class TestOmegaPrime:
     def test_grows_with_range(self):
         m = ToyNumeral()
         assert omega_prime_lower(m, 1, 12, None) < omega_prime_lower(m, 5, 12, None)
+
+    @pytest.mark.parametrize("machine, n_max, size_cap, budget, value", [
+        (ToyNumeral(), 60, 28, None, "6109/16384"),
+        (LispU(), 30, 24, 64, "2581/16777216"),
+    ])
+    def test_pinned_values(self, machine, n_max, size_cap, budget, value):
+        assert omega_prime_lower(machine, n_max, size_cap, budget) == Dyadic.parse(value)
+
+    @pytest.mark.parametrize("machine, n_max, size_cap, budget", [
+        (ToyNumeral(), 60, 20, None),
+        (LispU(), 30, 16, 8),
+    ])
+    def test_one_walk_agrees_with_a_search_per_natural(self, machine, n_max, size_cap, budget):
+        terms = Fraction(0)
+        for n in range(n_max + 1):
+            try:
+                terms += Fraction(1, 2 ** H_upper(n, machine, size_cap, budget).size)
+            except SearchExhausted:
+                pass
+        assert terms > 0
+        bound = omega_prime_lower(machine, n_max, size_cap, budget)
+        assert dyadic_as_fraction(bound) == terms

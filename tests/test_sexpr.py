@@ -7,7 +7,7 @@ import pytest
 
 from sdlisp import sexpr
 from sdlisp.bits import BitStream, OutOfData
-from sdlisp.interp import Closure, Env
+from sdlisp.interp import Closure
 from sdlisp.sexpr import (
     ArityTable,
     SExprSyntaxError,
@@ -295,7 +295,7 @@ def _random_tree(rng, closures, depth=4):
         return ()
     items = tuple(_random_tree(rng, closures, depth - 1) for _ in range(rng.randrange(1, 4)))
     if closures and rng.random() < 0.2:
-        return Closure(("lambda", ("x",), items), Env({}))
+        return Closure(("lambda", ("x",), items), {})
     return items
 
 

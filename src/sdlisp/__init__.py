@@ -1,7 +1,7 @@
 """A self-delimiting LISP dialect, a universal computer over bit strings,
 and a toolkit for desk-scale program-size experiments."""
 
-from .bits import BitStream, OutOfData, bits_to_sexpr, parse_bit_text, sexpr_to_bits
+from .bits import BitStream, OutOfData, bits_to_sexpr, parse_bit_text
 from .dyadic import Dyadic
 from .interp import Budget, OutOfTime, Session, run_source
 from .sexpr import (
@@ -21,10 +21,8 @@ from .universal import (
     ToyDoubling,
     ToyNumeral,
     ToyPair,
-    compose_universal,
     encode_program,
     run_U,
-    toy_machine,
 )
 
 __all__ = [
@@ -43,7 +41,6 @@ __all__ = [
     "ToyNumeral",
     "ToyPair",
     "bits_to_sexpr",
-    "compose_universal",
     "encode_program",
     "parse_bit_text",
     "parse_full",
@@ -52,8 +49,6 @@ __all__ = [
     "read_exp_from_stream",
     "run_U",
     "run_source",
-    "sexpr_to_bits",
     "size_chars",
     "to_bits",
-    "toy_machine",
 ]

@@ -11,7 +11,7 @@ the given caps unless the machine makes it decidable.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -285,17 +285,6 @@ def info_measures(x: SExpr, y: SExpr, machine, size_cap: int, budget: int | None
 # Theories as programs, and the oversized-theorem searcher
 
 @dataclass(frozen=True)
-class TheoryHandle:
-    """A non-terminating expression that displays each theorem it proves."""
-
-    source: SExpr
-
-    @property
-    def size_chars(self) -> int:
-        return size_chars(self.source)
-
-
-@dataclass(frozen=True)
 class TheoryRun:
     status: str
     payload: SExpr
@@ -303,12 +292,14 @@ class TheoryRun:
     terminated: bool
 
 
-def run_theory(handle: TheoryHandle, budget: int | None) -> TheoryRun:
+def run_theory(theory: SExpr, budget: int | None) -> TheoryRun:
     """Run the theory for a while; its theorems are the captured displays.
 
-    A theory that terminates is legal but suspicious, and is flagged.
+    A theory is an expression that never terminates and displays each
+    theorem it proves; its size is that of its text.  A theory that
+    terminates is legal but suspicious, and is flagged.
     """
-    status, payload, captures = Session().try_expression(handle.source, budget, "")
+    status, payload, captures = Session().try_expression(theory, budget, "")
     return TheoryRun(status, payload, captures, terminated=(status == SUCCESS))
 
 
@@ -381,7 +372,7 @@ def _theorem_expression(theorem: SExpr) -> SExpr | None:
     return None
 
 
-def berry_searcher(handle: TheoryHandle, schedule: Iterable[int]) -> BerryOutcome:
+def berry_searcher(theory: SExpr, schedule: Iterable[int]) -> BerryOutcome:
     """Run the searcher under a schedule of outer budgets.
 
     A sound theory never names an expression past the threshold, so the
@@ -399,11 +390,10 @@ def berry_searcher(handle: TheoryHandle, schedule: Iterable[int]) -> BerryOutcom
     entry of at least the steps it spent.  If that run fails, every entry
     fails.
     """
-    n = handle.size_chars
-    searcher, constant = build_searcher(handle.source)
-    threshold = n + constant
+    n = size_chars(theory)
+    searcher, constant = build_searcher(theory)
     base = BerryOutcome(
-        found=False, searcher_constant=constant, threshold=threshold, theory_size=n,
+        found=False, searcher_constant=constant, threshold=n + constant, theory_size=n,
     )
     schedule = list(schedule)
     if not schedule:
@@ -414,50 +404,36 @@ def berry_searcher(handle: TheoryHandle, schedule: Iterable[int]) -> BerryOutcom
     except (OutOfTime, OutOfData):
         return base
     budget = next(b for b in schedule if b >= ctx.budget.used)
-    run = run_theory(handle, budget)
-    malformed = sum(1 for t in run.theorems if _theorem_expression(t) is None)
-    for theorem in run.theorems:
+    theorems = run_theory(theory, budget).theorems
+    found = replace(base, found=True, value=payload, budget=budget,
+                    malformed=sum(1 for t in theorems if _theorem_expression(t) is None))
+    for theorem in theorems:
         expr = _theorem_expression(theorem)
-        if expr is not None and size_chars(expr) > threshold:
-            return BerryOutcome(
-                found=True,
-                searcher_constant=constant,
-                threshold=threshold,
-                theory_size=n,
-                value=payload,
-                theorem=theorem,
-                theorem_size=size_chars(expr),
-                budget=budget,
-                malformed=malformed,
-            )
-    return BerryOutcome(
-        found=True, searcher_constant=constant, threshold=threshold,
-        theory_size=n, value=payload, budget=budget, malformed=malformed,
-    )
+        if expr is not None and size_chars(expr) > base.threshold:
+            return replace(found, theorem=theorem, theorem_size=size_chars(expr))
+    return found
 
 
-def sound_mock_theory() -> TheoryHandle:
+def sound_mock_theory() -> SExpr:
     """Displays the (true) elegance of every numeral, forever."""
-    source = parse_full(
+    return parse_full(
         "(let loop (lambda (l n)"
         " (let d (display (cons (' elegant) (cons n nil)))"
         " (l l (+ n 1))))"
         " (loop loop 0))"
     )
-    return TheoryHandle(source)
 
 
-def unsound_mock_theory() -> TheoryHandle:
+def unsound_mock_theory() -> SExpr:
     """Claims elegance of ever larger powers of ten.
 
     The claims are false (long round numerals have far smaller programs),
     which is exactly what lets the searcher expose the mechanism.
     """
-    source = parse_full(
+    return parse_full(
         "(let pow (lambda (p k a) (if (= k 0) a (p p (- k 1) (* 10 a))))"
         " (let loop (lambda (l n)"
         " (let d (display (cons (' elegant) (cons (pow pow n 1) nil)))"
         " (l l (+ n n))))"
         " (loop loop 1)))"
     )
-    return TheoryHandle(source)

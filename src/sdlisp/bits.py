@@ -40,9 +40,6 @@ class BitStream:
         self.pos += n
         return out
 
-    def read_bit(self) -> int:
-        return int(self.read(1))
-
     def __repr__(self) -> str:
         return f"BitStream({self.bits!r}, pos={self.pos})"
 
@@ -101,18 +98,11 @@ def parse_bit_text(text: str) -> str:
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def bit_values(bits: str) -> tuple:
+    """The dialect's list of 0/1 naturals for a string already known to be bits."""
+    return tuple(bits.encode().translate(_BIT_VALUES))
+
+
 def bits_to_sexpr(bits: str) -> tuple:
     """Bit string as the dialect sees it: a list of 0/1 naturals."""
-    return tuple(check_bits(bits).encode().translate(_BIT_VALUES))
-
-
-def sexpr_to_bits(e) -> str:
-    """Strict inverse of :func:`bits_to_sexpr` for host-side use."""
-    if not isinstance(e, tuple):
-        raise ValueError(f"not a bit list: {e!r}")
-    out = []
-    for item in e:
-        if item not in (0, 1) or isinstance(item, bool):
-            raise ValueError(f"not a bit: {item!r}")
-        out.append("01"[item])
-    return "".join(out)
+    return bit_values(check_bits(bits))

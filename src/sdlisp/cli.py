@@ -249,8 +249,8 @@ def cmd_pair(args) -> int:
 
 
 def cmd_paradox(args) -> int:
-    handle = ait.sound_mock_theory() if args.theory == "sound" else ait.unsound_mock_theory()
-    outcome = ait.berry_searcher(handle, args.schedule)
+    theory = ait.sound_mock_theory() if args.theory == "sound" else ait.unsound_mock_theory()
+    outcome = ait.berry_searcher(theory, args.schedule)
     print(f"theory size: {outcome.theory_size} chars")
     print(f"searcher constant: {outcome.searcher_constant} chars"
           f" (classic dialect: {outcome.classic_constant})")

@@ -26,7 +26,7 @@ from .bits import (
     BitStream,
     OutOfData,
     all_bitstrings,
-    bits_to_sexpr,
+    bit_values,
     check_bits,
     doubled,
     read_doubled,
@@ -202,7 +202,7 @@ class ToyDoubling:
     decides_halting = True
     exact_omega = Dyadic(1, 1)
 
-    _output = staticmethod(bits_to_sexpr)  # the value built from the decoded bits
+    _output = staticmethod(bit_values)  # the value built from the decoded bits
 
     def run(self, program: str, budget: int | None = None) -> RunResult:
         bits, end = _read_codeword(check_bits(program), 0)
@@ -254,7 +254,7 @@ class ToyPair:
             bits, end = _read_codeword(program, end)
             if bits is None:
                 return invalid(end)
-            parts.append(bits_to_sexpr(bits))
+            parts.append(bit_values(bits))
         if end != len(program):
             return invalid(PARTIAL_CONSUMPTION)
         return halted(tuple(parts), end)
@@ -307,11 +307,3 @@ class ComposedUniversal:
                 continue
             for q in machine.halting_candidates(max_len - k - 1):
                 yield head + q
-
-
-def compose_universal(machines) -> ComposedUniversal:
-    return ComposedUniversal(machines)
-
-
-def toy_machine() -> ToyDoubling:
-    return ToyDoubling()

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from sdlisp.ait import BerryOutcome, TheoryHandle, _theorem_expression, build_searcher, run_theory
+from sdlisp.ait import BerryOutcome, _theorem_expression, build_searcher, run_theory
 from sdlisp.bits import BitStream, bits_to_sexpr, bitstrings_up_to
 from sdlisp.interp import (
     FAILURE,
@@ -610,7 +610,7 @@ def try_reference(expr: SExpr, limit: SExpr, data: str, ctx: ReferenceCtx,
 # until one succeeds; the package runs it once and reads the budget off the
 # steps spent.
 
-def berry_searcher_reference(handle: TheoryHandle, schedule) -> BerryOutcome:
+def berry_searcher_reference(theory: SExpr, schedule) -> BerryOutcome:
     """Run the searcher over increasing outer budgets.
 
     A sound theory never names an expression past the threshold, so the
@@ -618,8 +618,8 @@ def berry_searcher_reference(handle: TheoryHandle, schedule) -> BerryOutcome:
     searcher's value equals the value of the oversized expression it was
     promised no small program could match.
     """
-    n = handle.size_chars
-    searcher, constant = build_searcher(handle.source)
+    n = size_chars(theory)
+    searcher, constant = build_searcher(theory)
     threshold = n + constant
     base = BerryOutcome(
         found=False, searcher_constant=constant, threshold=threshold, theory_size=n,
@@ -628,7 +628,7 @@ def berry_searcher_reference(handle: TheoryHandle, schedule) -> BerryOutcome:
         status, payload, _ = Session().try_expression(searcher, budget, "")
         if status != SUCCESS:
             continue
-        run = run_theory(handle, budget)
+        run = run_theory(theory, budget)
         malformed = sum(1 for t in run.theorems if _theorem_expression(t) is None)
         for theorem in run.theorems:
             expr = _theorem_expression(theorem)

@@ -256,18 +256,18 @@ def test_10_counting_bound():
 def test_11_berry_mechanism():
     clock = _Clock(11, "oversized-theorem searcher", 60.0)
     sound = sound_mock_theory()
-    _, c1 = build_searcher(sound.source)
-    _, c2 = build_searcher(sound.source)
+    _, c1 = build_searcher(sound)
+    _, c2 = build_searcher(sound)
     assert c1 == c2 and c1 > 0
     outcome = berry_searcher(sound, [512, 2048, 8192])
     assert not outcome.found
 
     unsound = unsound_mock_theory()
-    _, c3 = build_searcher(unsound.source)
+    _, c3 = build_searcher(unsound)
     assert c3 == c1  # the routine's own size does not depend on the theory
     hit = berry_searcher(unsound, [1 << 12, 1 << 16, 1 << 20])
     assert hit.found
-    assert hit.theorem_size > hit.threshold == unsound.size_chars + hit.searcher_constant
+    assert hit.theorem_size > hit.threshold == size_chars(unsound) + hit.searcher_constant
     assert hit.value == hit.theorem[1]
     assert hit.classic_constant == 410
     print(f"    searcher constant {hit.searcher_constant} (classic dialect: 410); "

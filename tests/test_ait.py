@@ -19,7 +19,6 @@ from sdlisp.ait import (
     run_theory,
     sound_mock_theory,
     unsound_mock_theory,
-    TheoryHandle,
 )
 from sdlisp.bits import bitstrings_up_to
 from sdlisp.dyadic import Dyadic
@@ -323,9 +322,9 @@ class TestTheories:
         assert run.theorems[:3] == (("elegant", 0), ("elegant", 1), ("elegant", 2))
 
     def test_captures_grow_with_budget(self):
-        handle = sound_mock_theory()
-        small = run_theory(handle, 100)
-        large = run_theory(handle, 400)
+        theory = sound_mock_theory()
+        small = run_theory(theory, 100)
+        large = run_theory(theory, 400)
         assert len(large.theorems) > len(small.theorems)
         assert large.theorems[:len(small.theorems)] == small.theorems
 
@@ -333,19 +332,19 @@ class TestTheories:
         assert run_theory(sound_mock_theory(), 0).theorems == ()
 
     def test_terminating_source_is_flagged(self):
-        run = run_theory(TheoryHandle(parse_full("(+ 1 1)")), 100)
+        run = run_theory(parse_full("(+ 1 1)"), 100)
         assert run.terminated and run.payload == 2
 
 
 class TestBerry:
     def test_searcher_constant_is_stable(self):
-        for handle in (sound_mock_theory(), unsound_mock_theory()):
-            expr1, c1 = build_searcher(handle.source)
-            expr2, c2 = build_searcher(handle.source)
+        for theory in (sound_mock_theory(), unsound_mock_theory()):
+            expr1, c1 = build_searcher(theory)
+            expr2, c2 = build_searcher(theory)
             assert (expr1, c1) == (expr2, c2)
-            assert size_chars(expr1) == handle.size_chars + c1
-        _, c_sound = build_searcher(sound_mock_theory().source)
-        _, c_unsound = build_searcher(unsound_mock_theory().source)
+            assert size_chars(expr1) == size_chars(theory) + c1
+        _, c_sound = build_searcher(sound_mock_theory())
+        _, c_unsound = build_searcher(unsound_mock_theory())
         assert c_sound == c_unsound
 
     def test_sound_theory_never_triggers(self):
@@ -353,8 +352,7 @@ class TestBerry:
         assert not outcome.found
 
     def test_unsound_theory_triggers_and_returns_the_value(self):
-        handle = unsound_mock_theory()
-        outcome = berry_searcher(handle, [1 << 12, 1 << 16, 1 << 20])
+        outcome = berry_searcher(unsound_mock_theory(), [1 << 12, 1 << 16, 1 << 20])
         assert outcome.found
         assert outcome.theorem_size > outcome.threshold
         assert outcome.theorem[0] == "elegant"
@@ -363,7 +361,7 @@ class TestBerry:
         assert size_chars(outcome.value) == outcome.theorem_size
 
     def test_empty_theory_not_found(self):
-        empty = TheoryHandle(parse_full("(let loop (lambda (l) (l l)) (loop loop))"))
+        empty = parse_full("(let loop (lambda (l) (l l)) (loop loop))")
         outcome = berry_searcher(empty, [200, 800])
         assert not outcome.found
 
@@ -371,8 +369,8 @@ class TestBerry:
 BERRY_THEORIES = {
     "sound": sound_mock_theory(),
     "unsound": unsound_mock_theory(),
-    "loop": TheoryHandle(parse_full("(let loop (lambda (l) (l l)) (loop loop))")),
-    "terminating": TheoryHandle(parse_full("(+ 1 1)")),
+    "loop": parse_full("(let loop (lambda (l) (l l)) (loop loop))"),
+    "terminating": parse_full("(+ 1 1)"),
 }
 # ascending, descending, duplicated, empty and with 0; the unsound theory's
 # searcher needs 34,084 steps, so its schedules straddle that
@@ -395,12 +393,11 @@ class TestBerryOneRun:
         pytest.param(theory, schedule, id=f"{theory}-[{','.join(map(str, schedule))}]")
         for theory, schedules in BERRY_SCHEDULES.items() for schedule in schedules])
     def test_agrees_with_the_rerunning_searcher(self, theory, schedule):
-        handle = BERRY_THEORIES[theory]
-        got = berry_searcher(handle, schedule)
-        assert got == berry_searcher_reference(handle, schedule)
+        got = berry_searcher(BERRY_THEORIES[theory], schedule)
+        assert got == berry_searcher_reference(BERRY_THEORIES[theory], schedule)
 
     def test_schedule_may_be_an_iterator(self):
-        handle = BERRY_THEORIES["unsound"]
-        got = berry_searcher(handle, iter([4096, 40000]))
-        assert got == berry_searcher_reference(handle, iter([4096, 40000]))
+        theory = BERRY_THEORIES["unsound"]
+        got = berry_searcher(theory, iter([4096, 40000]))
+        assert got == berry_searcher_reference(theory, iter([4096, 40000]))
         assert got.found and got.budget == 40000

@@ -8,6 +8,7 @@ import pytest
 from sdlisp.ait import H_upper, SearchExhausted
 from sdlisp.bits import bitstrings_up_to
 from sdlisp.dyadic import Dyadic
+from sdlisp.kraft import Requirement, build_computer
 from sdlisp.omega import (
     Inconclusive,
     halting_oracle_from_omega,
@@ -17,7 +18,7 @@ from sdlisp.omega import (
     solve_halting_by_count,
 )
 from sdlisp.sexpr import parse_implicit, to_bits
-from sdlisp.universal import LispU, ToyDoubling, ToyNumeral
+from sdlisp.universal import ComposedUniversal, LispU, ToyDoubling, ToyNumeral, ToyPair
 
 from oracles import (
     dyadic_as_fraction,
@@ -206,13 +207,26 @@ class TestEstimateInvariants:
             for a, b in zip(halted, halted[1:]):
                 assert not b.startswith(a)
 
+    def test_every_machines_halted_set_is_prefix_free(self):
+        rng = random.Random(16)
+        kraft_machine = build_computer([Requirement(rng.randint(8, 14), i) for i in range(200)])
+        for machine, max_len, budget in (
+                (LispU(), 24, 64), (TOY, 18, None), (ToyNumeral(), 18, None), (ToyPair(), 18, None),
+                (ComposedUniversal([TOY, ToyPair()]), 18, None), (kraft_machine, 14, None)):
+            halted = sorted(p for p, result in runs(machine, max_len, budget) if result.halted)
+            assert halted, machine.name
+            for a, b in zip(halted, halted[1:]):
+                assert not b.startswith(a), (machine.name, a, b)
+            # the walk never runs past a halted program, so ask the machine
+            for p in halted:
+                for bit in "01":
+                    assert not machine.run(p + bit, budget).halted, (machine.name, p + bit)
+
     def test_composed_and_kraft_machines_agree_with_blind_oracle(self):
-        from sdlisp.kraft import Requirement, build_computer
-        from sdlisp.universal import compose_universal
         kraft_machine = build_computer(
             [Requirement(2, "a"), Requirement(3, "b"), Requirement(3, ("c", 1))])
-        composed = compose_universal([TOY, ToyNumeral()])
-        partly_blind = compose_universal([TOY, _Blind(ToyNumeral())])
+        composed = ComposedUniversal([TOY, ToyNumeral()])
+        partly_blind = ComposedUniversal([TOY, _Blind(ToyNumeral())])
         for machine in (kraft_machine, composed, partly_blind, _Blind(kraft_machine)):
             estimate = omega_lower_bound(machine, 9, None)
             assert dyadic_as_fraction(estimate.value) == omega_by_enumeration(machine, 9, None)

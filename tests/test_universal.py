@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from sdlisp.bits import bitstrings_up_to
+from sdlisp import bits, universal
+from sdlisp.bits import bitstrings_up_to, check_bits
 from sdlisp.interp import run_source
 from sdlisp.kraft import Requirement, build_computer
 from sdlisp.sexpr import (
@@ -27,7 +28,6 @@ from sdlisp.universal import (
     ToyDoubling,
     ToyNumeral,
     ToyPair,
-    compose_universal,
     encode_program,
     halted,
     invalid,
@@ -288,30 +288,46 @@ def test_non_bit_programs_are_rejected(machine, program):
         machine.run(program, 100)
 
 
+@pytest.mark.parametrize("machine,program", [
+    (ToyDoubling(), "00001101"), (ToyNumeral(), "11001101"), (ToyPair(), "1101001101"),
+], ids=["toy", "toy-numeral", "toy-pair"])
+def test_a_halting_toy_run_checks_its_program_once(machine, program, monkeypatch):
+    calls = []
+
+    def counting(bits_):
+        calls.append(bits_)
+        return check_bits(bits_)
+
+    monkeypatch.setattr(bits, "check_bits", counting)
+    monkeypatch.setattr(universal, "check_bits", counting)
+    assert machine.run(program).halted
+    assert calls == [program]
+
+
 class TestCompose:
     def test_k0_is_a_one_bit_prefix(self):
-        comp = compose_universal([ToyDoubling()])
+        comp = ComposedUniversal([ToyDoubling()])
         result = comp.run("1" + "00001101")
         assert result.halted and result.value == (0, 0, 1)
         assert result.consumed == 9
 
     def test_k1_doubling_decoder(self):
-        comp = compose_universal([ToyNumeral(), ToyDoubling()])
+        comp = ComposedUniversal([ToyNumeral(), ToyDoubling()])
         result = comp.run("01" + "00001101")
         assert result.halted and result.value == (0, 0, 1)
 
     def test_all_zero_program_invalid(self):
-        comp = compose_universal([ToyDoubling()])
+        comp = ComposedUniversal([ToyDoubling()])
         assert comp.run("0000").reason == "out-of-data"
         assert comp.run("").reason == "out-of-data"
 
     def test_unknown_machine_index_invalid(self):
-        comp = compose_universal([ToyDoubling()])
+        comp = ComposedUniversal([ToyDoubling()])
         assert comp.run("01" + "01").reason == "parse-error"
 
     def test_simulation_overhead_is_exactly_k_plus_one(self):
         machines = [ToyDoubling(), ToyNumeral(), ToyPair()]
-        comp = compose_universal(machines)
+        comp = ComposedUniversal(machines)
         for k, machine in enumerate(machines):
             for q in machine.halting_candidates(10):
                 direct = machine.run(q)
@@ -321,14 +337,14 @@ class TestCompose:
                 assert composed.consumed == direct.consumed + k + 1
 
     def test_prefix_free_domain(self):
-        comp = compose_universal([ToyDoubling(), ToyNumeral()])
+        comp = ComposedUniversal([ToyDoubling(), ToyNumeral()])
         domain = sorted(p for p in bitstrings_up_to(11) if comp.run(p).halted)
         for i, p in enumerate(domain):
             for q in domain[i + 1:]:
                 assert not q.startswith(p) or p == q
 
     def test_exact_omega_combines(self):
-        comp = compose_universal([ToyDoubling(), ToyDoubling()])
+        comp = ComposedUniversal([ToyDoubling(), ToyDoubling()])
         assert str(comp.exact_omega) == "3/8"
 
 

@@ -166,10 +166,12 @@ def cmd_kraft(args) -> int:
 
 def cmd_omega(args) -> int:
     machine = _machine(args.machine)
-    # the oracle's round r walks max(--oracle, r) bits
-    walk = args.max_len if args.oracle is None else max(args.oracle, args.max_rounds)
-    if args.machine == "lispu" and walk > 24 and not args.force:
-        raise SExprSyntaxError("lispu enumeration above 24 bits needs --force")
+    # round r of the oracle walks max(--oracle, r) bits; round r of the count
+    # solver runs each program for 2^(r-1) steps
+    dovetails = args.count_file is not None or args.oracle is not None
+    scale = max(args.oracle or 0, args.max_rounds) if dovetails else args.max_len
+    if args.machine == "lispu" and scale > 24 and not args.force:
+        raise SExprSyntaxError("lispu above 24 bits or 24 rounds needs --force")
     if args.count_file is not None:
         programs = [parse_bit_text(line) for line in _read_text(args.count_file).split()]
         statuses = omega.solve_halting_by_count(programs, args.count, machine,

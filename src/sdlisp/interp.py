@@ -41,6 +41,10 @@ later top-level ``define``; one narrowing: applied in another
 arriving as data, ``eval`` and ``try`` run over the globals alone, so a
 program fed to the universal computer means the same anywhere.
 
+A run owns one :class:`Budget`, and a ``try`` lowers its ceiling for the
+run of its expression (see :func:`_try`): an inner ``try`` never outlasts
+an outer one, and running out of an outer ceiling is the outer's failure.
+
 Nesting depth is counted like steps: an argument, a condition or the
 expression a ``try`` runs is one level deeper, a tail position (``if``
 branches, ``let`` and lambda bodies, ``eval``) is not.  A non-atomic
@@ -96,7 +100,8 @@ class DepthExceeded(OutOfTime):
 class Budget:
     """A step allowance: one step per non-atomic expression evaluated.
 
-    ``limit`` is None for an unlimited budget, which never counts.
+    A run owns one budget.  ``limit`` is None for an unlimited budget, which
+    never counts; a ``try`` lowers ``limit`` while its expression runs.
     """
 
     __slots__ = ("limit", "used")
@@ -105,10 +110,6 @@ class Budget:
         self.limit = limit
         self.used = 0
 
-    @property
-    def remaining(self) -> int | None:
-        return None if self.limit is None else self.limit - self.used
-
     def charge(self) -> None:
         """Spend one step, or raise OutOfTime if none is left.  ``evaluate``
         inlines this; it is the rule's written form."""
@@ -116,10 +117,6 @@ class Budget:
             if self.used >= self.limit:
                 raise OutOfTime()
             self.used += 1
-
-    def spend(self, steps: int) -> None:
-        if self.limit is not None:
-            self.used += steps
 
 
 class Closure(tuple):
@@ -319,9 +316,12 @@ def evaluate(e: SExpr, env: dict[str, SExpr], ctx: _Ctx, depth: int = 0) -> SExp
 def _try(expr: SExpr, limit: SExpr, data: str, ctx: _Ctx, depth: int = 0) -> SExpr:
     """Run *expr* over the globals alone, with its own data stream.
 
-    Returns the outcome triple.  Out-of-time is a value of this TRY only
-    when the declared limit itself was hit, or when *expr* nested too deep;
-    exhausting the enclosing budget propagates, which is what keeps success
+    Returns the outcome triple.  A declared limit lowers the run's one
+    ceiling to ``used + limit`` while *expr* runs, unless the enclosing
+    ceiling is already at or below that; the ceiling, and under an unlimited
+    budget the count, are restored after.  Out-of-time is a value of this
+    TRY only when its own ceiling was hit, or when *expr* nested too deep;
+    exhausting an enclosing ceiling propagates, which is what keeps success
     budget-monotone.
     """
     if type(limit) is int:
@@ -331,29 +331,25 @@ def _try(expr: SExpr, limit: SExpr, data: str, ctx: _Ctx, depth: int = 0) -> SEx
     else:
         declared = 0
 
-    parent = ctx.budget
-    if declared is None:
-        inner_budget = parent
-    elif parent.limit is None:
-        inner_budget = Budget(declared)
-    else:
-        inner_budget = Budget(min(declared, parent.remaining))
-
+    budget = ctx.budget
+    outer, used = budget.limit, budget.used
+    own = declared is not None and (outer is None or used + declared <= outer)
+    if own:
+        budget.limit = used + declared
     captures: list[SExpr] = []
-    inner = _Ctx(inner_budget, BitStream(data), ctx.genv, ctx.table, captures.append)
+    inner = _Ctx(budget, BitStream(data), ctx.genv, ctx.table, captures.append)
     try:
         value = evaluate(expr, {}, inner, depth)
-    except DepthExceeded:
-        return (FAILURE, OUT_OF_TIME, tuple(captures))
-    except OutOfTime:
-        if inner_budget is parent or inner_budget.limit < declared:
+    except OutOfTime as exc:
+        if not (own or isinstance(exc, DepthExceeded)):
             raise
         return (FAILURE, OUT_OF_TIME, tuple(captures))
     except OutOfData:
         return (FAILURE, OUT_OF_DATA, tuple(captures))
     finally:
-        if inner_budget is not parent:
-            parent.spend(inner_budget.used)
+        budget.limit = outer
+        if outer is None:
+            budget.used = used  # an unlimited budget never counts
     return (SUCCESS, value, tuple(captures))
 
 
@@ -379,8 +375,7 @@ class Session:
 
     def try_expression(self, e: SExpr, limit: int | None, data: str) -> tuple:
         """Host-side TRY: returns the (status payload captures) triple."""
-        ctx = self._ctx(Budget(None))
-        return _try(e, limit if limit is not None else NO_TIME_LIMIT, data, ctx)
+        return _try(e, NO_TIME_LIMIT if limit is None else limit, data, self._ctx(Budget(limit)))
 
     def define(self, form: tuple) -> str | None:
         """Install a top-level define; returns the bound name."""

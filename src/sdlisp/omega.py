@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .bits import bitstrings_up_to
 from .dyadic import Dyadic, mass
-from .universal import OUT_OF_DATA
+from .universal import OUT_OF_DATA, STILL_RUNNING
 
 HALTS = "halts"
 NEVER_HALTS = "never-halts"
@@ -72,22 +72,23 @@ def omega_lower_bound(machine, max_len: int, budget: int | None) -> OmegaEstimat
 def solve_halting_by_count(programs, count: int, machine, max_rounds: int = 64) -> list[str]:
     """Classify each program given that exactly *count* of them halt.
 
-    Runs everything in parallel with doubling budgets until the promised
-    number have halted; the rest never will.  If *count* overstates the
-    truth this would run forever, so a round cap turns that into
-    Inconclusive.
+    Runs the programs with doubling budgets until the promised number have
+    halted; the rest never will.  Only a still-running program runs again:
+    every other outcome is final.  An overstated *count* is Inconclusive
+    once none is still running, or after *max_rounds* rounds.
     """
     programs = list(programs)
     if not 0 <= count <= len(programs):
         raise ValueError("count out of range")
     halted: set[int] = set()
+    running = range(len(programs))
     budget = 1
     for _ in range(max_rounds):
-        if len(halted) >= count:
+        if len(halted) >= count or not running:
             break
-        for i, p in enumerate(programs):
-            if i not in halted and machine.run(p, budget).halted:
-                halted.add(i)
+        results = [(i, machine.run(programs[i], budget)) for i in running]
+        halted.update(i for i, result in results if result.halted)
+        running = [i for i, result in results if result.status == STILL_RUNNING]
         budget *= 2
     if len(halted) < count:
         raise Inconclusive(f"only {len(halted)} of the promised {count} halted")

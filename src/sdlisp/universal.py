@@ -129,7 +129,8 @@ class LispU:
                     return halted(value, n)
         stream = BitStream(program)
         bud = Budget(budget)
-        bud.spend(2)
+        bud.charge()  # (eval ...)
+        bud.charge()  # (read-exp)
         try:
             text = read_prefix_text(stream)
         except OutOfData:

@@ -8,7 +8,8 @@ reference readers recurse on nesting where the package's keep a stack, and
 the reference evaluator spells out every primitive in its own branch where
 the package's dispatches value primitives through a table, and finds a name
 by walking a chain of frames down to the globals where the package's looks
-in one flat dict of locals and then in the globals, the
+in one flat dict of locals and then in the globals, the reference ``try``
+nests a second budget where the package's lowers one ceiling, the
 reference Berry searcher reruns the searcher at each budget of its schedule
 where the package's settles the schedule with one run, the reference
 doubling decoder compares pair by pair where the package's compares all
@@ -585,7 +586,7 @@ def try_reference(expr: SExpr, limit: SExpr, data: str, ctx: ReferenceCtx,
     elif parent.limit is None:
         inner_budget = Budget(declared)
     else:
-        inner_budget = Budget(min(declared, parent.remaining))
+        inner_budget = Budget(min(declared, parent.limit - parent.used))
 
     captures: list[SExpr] = []
     inner = ReferenceCtx(inner_budget, BitStream(data), captures, ctx.genv, ctx.table)
@@ -600,8 +601,8 @@ def try_reference(expr: SExpr, limit: SExpr, data: str, ctx: ReferenceCtx,
     except OutOfData:
         return (FAILURE, OUT_OF_DATA, tuple(captures))
     finally:
-        if inner_budget is not parent:
-            parent.spend(inner_budget.used)
+        if inner_budget is not parent and parent.limit is not None:
+            parent.used += inner_budget.used
     return (SUCCESS, value, tuple(captures))
 
 

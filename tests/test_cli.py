@@ -3,6 +3,7 @@
 import pytest
 
 from sdlisp.cli import main
+from sdlisp.sexpr import parse_implicit, to_bits
 
 FACTORIAL = "define (f n)\nif = n 0  1\n   * n (f - n 1)\n(f 4)\n"
 
@@ -153,6 +154,18 @@ class TestOmega:
         code, _, err = run_cli(capsys, "omega", "--machine", "lispu", "--oracle", "6",
                                "--omega", "1/2")
         assert code == 2 and "--force" in err
+
+    def test_lispu_count_round_guard(self, tmp_path, capsys):
+        # round r of the count solver runs each program for 2^(r-1) steps
+        programs = tmp_path / "loop.bits"
+        programs.write_text(to_bits(parse_implicit("let f ' lambda (g) (g g) (f f)")) + "\n")
+        code, _, err = run_cli(capsys, "omega", "--machine", "lispu",
+                               "--count-file", str(programs), "--count", "1")
+        assert code == 2 and "--force" in err
+        code, _, err = run_cli(capsys, "omega", "--machine", "lispu",
+                               "--count-file", str(programs), "--count", "1",
+                               "--max-rounds", "14")
+        assert code == 1 and "only 0 of the promised 1 halted" in err
 
     def test_count_verb(self, tmp_path, capsys):
         programs = tmp_path / "programs"

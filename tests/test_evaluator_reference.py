@@ -175,6 +175,19 @@ def test_package_agrees_with_reference_on_random_programs():
     assert kinds == {"value", "out-of-time", "out-of-data"}
 
 
+def test_try_under_an_unlimited_budget_agrees_with_reference():
+    # an unlimited budget never counts, so a try under it must give back the
+    # steps its own limit counted
+    rng = random.Random(20033)
+    for _ in range(2000):
+        program = random_program(rng)
+        data = _bits(rng)
+        expr = ("try", 64, (QUOTE, program), (QUOTE, tuple(int(b) for b in data)))
+        got = _outcome(_package, expr, None, data)
+        assert got == _outcome(_reference, expr, None, data), (program, data)
+        assert got[0] == "value" and got[2] == 0
+
+
 # Application heads the evaluator resolves without a primitive branch: a
 # symbol head is looked up in place, any other head is evaluated.  Drawn from
 # their own seeded stream; subexpressions come from random_program.

@@ -166,6 +166,25 @@ class TestCountSolver:
         with pytest.raises(Inconclusive):
             solve_halting_by_count(["00", "01"], 2, TOY, max_rounds=8)
 
+    def test_a_settled_program_is_not_rerun(self):
+        # halted and invalid are final under every larger budget, so only a
+        # still-running program would be run again; a toy run never is
+        calls = []
+
+        class Counted(ToyDoubling):
+            def run(self, program, budget=None):
+                calls.append(program)
+                return super().run(program, budget)
+
+        programs = ["01", "00", "1101", "10", "0001"]
+        statuses = solve_halting_by_count(programs, 3, Counted())
+        assert statuses == ["halts", "never-halts", "halts", "never-halts", "halts"]
+        assert sorted(calls) == sorted(programs)
+        calls.clear()
+        with pytest.raises(Inconclusive, match="only 3 of the promised 4 halted"):
+            solve_halting_by_count(programs, 4, Counted())
+        assert sorted(calls) == sorted(programs)
+
     def test_random_sets_against_membership_oracle(self):
         rng = random.Random(41)
         pool = list(bitstrings_up_to(10))

@@ -173,7 +173,7 @@ class TestBudgetEdges:
         budget = Budget(None)
         for _ in range(5):
             budget.charge()
-        assert budget.used == 0 and budget.remaining is None
+        assert budget.used == 0 and budget.limit is None
 
     def test_deep_nesting_within_budget(self):
         session = Session()

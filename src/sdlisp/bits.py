@@ -53,14 +53,20 @@ def read_doubled(bits: str, i: int = 0) -> tuple[str, int] | None:
     """The doubled word at index *i* of *bits* (each equal pair carries a bit,
     the first unequal pair ends it) and the index past that pair, or None
     when the bits run out first.  The caller decides which pairs may end it.
-    Read as numerals (base 2 has no digit limit), the whole pairs' first and
-    second bits first differ at the first unequal pair."""
-    end = i + (len(bits) - i) // 2 * 2
-    a, b = bits[i:end:2], bits[i + 1:end:2]
-    if a == b:
-        return None
-    j = len(a) - (int(a, 2) ^ int(b, 2)).bit_length()
-    return a[:j], i + 2 * j + 2
+    Read as numerals (base 2 has no digit limit), a window of whole pairs'
+    first and second bits first differ at its first unequal pair.  The
+    windows double in size, so a word costs its own length, not the rest of
+    the bits."""
+    end = len(bits) - (len(bits) - i) % 2  # past the last whole pair
+    lo, width = i, 64
+    while lo < end:
+        hi = min(end, lo + width)
+        a, b = bits[lo:hi:2], bits[lo + 1:hi:2]
+        if a != b:
+            j = hi - 2 * (int(a, 2) ^ int(b, 2)).bit_length()  # the unequal pair
+            return bits[i:j:2], j + 2
+        lo, width = hi, 2 * width
+    return None
 
 
 def all_bitstrings(length: int):

@@ -103,10 +103,13 @@ class KraftMachine:
             return invalid(OUT_OF_DATA)
         return invalid(PARSE_ERROR)
 
-    def halting_candidates(self, max_len: int):
-        for codeword, _ in self.assignments:
-            if len(codeword) <= max_len:
-                yield codeword
+    def roots(self, max_len: int, budget: int | None = None):
+        """Every codeword up to max_len with its output, settled: the
+        stable sort by length keeps each length in bit order."""
+        for codeword in sorted(self.codewords, key=len):
+            if len(codeword) > max_len:
+                return
+            yield codeword, self.outputs[codeword]
 
 
 @dataclass(frozen=True)

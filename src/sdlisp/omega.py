@@ -11,12 +11,11 @@ All arithmetic is exact dyadic; no bit of an estimate is ever rounded.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .bits import bitstrings_up_to
 from .dyadic import Dyadic, mass
-from .universal import OUT_OF_DATA, STILL_RUNNING
+from .universal import HALTED, OUT_OF_DATA, STILL_RUNNING, UNSETTLED, halted
 
 HALTS = "halts"
 NEVER_HALTS = "never-halts"
@@ -34,28 +33,64 @@ class OmegaEstimate:
     halted: tuple[str, ...]
 
 
+_END = (None, None)
+
+
 def runs(machine, max_len: int, budget: int | None):
     """Runs of the programs of <= max_len bits that may halt, as
     (program, result) pairs in (length, lexicographic) order.
 
-    The walk starts from the machine's halting_candidates (or from the empty
-    program) and extends a program by one bit only when its run ended out of
-    data.  That is exact under the machine contract (see universal): out of
-    data means the run needed bits past the end, and every other outcome is
-    final for every extension.  It is a loop, not a recursion, so every run
-    starts at the same host stack depth.
+    The walk merges the machine's roots (see universal; a machine without
+    them is walked from the empty program) with the out-of-data extensions
+    of the programs before them: a program grows by one bit only when its
+    run ended out of data.  That is exact under the machine contract: out
+    of data means the run needed bits past the end, and every other outcome
+    is final for every extension.  The extensions of one length come in
+    order because their parents ran in order, so nothing is sorted or kept
+    beyond one length's extensions.  A settled root halts with its value
+    without a run; a root equal to the program before it is skipped, and
+    one before it raises ValueError.  It is a loop, not a recursion, so
+    every run starts at the same host stack depth.
     """
-    roots = machine.halting_candidates(max_len) if hasattr(machine, "halting_candidates") else ("",)
-    buckets = defaultdict(set)
-    for p in roots:
-        if len(p) <= max_len:
-            buckets[len(p)].add(p)
+    roots = machine.roots(max_len, budget) if hasattr(machine, "roots") else iter((("", UNSETTLED),))
+    run = machine.run
+    root, value = next(roots, _END)
+    grown: list[str] = []  # this length's extensions, in order
     for n in range(max_len + 1):
-        for p in sorted(buckets.pop(n, ())):
-            result = machine.run(p, budget)
+        children: list[str] = []
+        i, m = 0, len(grown)
+        while True:
+            if root is not None and len(root) == n and (i == m or root <= grown[i]):
+                p, settled = root, value
+                if i < m and grown[i] == p:
+                    i += 1
+                root, value = next(roots, _END)
+                if root is not None and (len(root) < n or len(root) == n and root <= p):
+                    root, value = _after(machine, roots, p, root, value)
+            elif i < m:
+                p, settled = grown[i], UNSETTLED
+                i += 1
+            else:
+                break
+            if settled is UNSETTLED:
+                result = run(p, budget)
+                if n < max_len and result.reason == OUT_OF_DATA:
+                    children += (p + "0", p + "1")
+            else:
+                result = halted(settled, n)
             yield p, result
-            if n < max_len and result.reason == OUT_OF_DATA:
-                buckets[n + 1].update((p + "0", p + "1"))
+        grown = children
+
+
+def _after(machine, roots, previous: str, root: str, value):
+    """The first of *root* and the roots after it that comes after
+    *previous*, skipping equal ones; _END at the end."""
+    while root is not None and (len(root), root) <= (len(previous), previous):
+        if root != previous:
+            raise ValueError(f"{type(machine).__name__} yields root {root!r} after {previous!r}: "
+                             "roots must come in (length, lexicographic) order")
+        root, value = next(roots, _END)
+    return root, value
 
 
 def omega_lower_bound(machine, max_len: int, budget: int | None) -> OmegaEstimate:
@@ -65,7 +100,7 @@ def omega_lower_bound(machine, max_len: int, budget: int | None) -> OmegaEstimat
     order, so memory holds the roots, the walk's frontier and the halting
     set, not the space.
     """
-    halted = tuple(p for p, result in runs(machine, max_len, budget) if result.halted)
+    halted = tuple(p for p, result in runs(machine, max_len, budget) if result.status == HALTED)
     return OmegaEstimate(mass(map(len, halted)), max_len, budget, halted)
 
 

@@ -12,6 +12,16 @@ by bit (omega.runs): the reason out-of-data means the run needed bits past
 the end of the program, and every other outcome is final for every
 extension of it.
 
+A machine may also enumerate the roots of those searches:
+``roots(max_len, budget)`` yields ``(program, value)`` pairs of at most
+max_len bits, strictly in (length, lexicographic) order, such that every
+halting program starts with one of them.  The value is UNSETTLED when only
+a run can tell the root's outcome.  Any other value is a promise that the
+root halts under *budget* with that value and consumes every bit, so the
+search takes it without a run.  The decidable machines settle every root
+and ignore the budget; LispU leaves every root to its run, whose shortcut
+settles a single atom without a session.
+
 A search builds one :class:`RunResult` per program, so it is a NamedTuple, and
 the non-halting results are shared instances built once.
 """
@@ -41,7 +51,6 @@ from .sexpr import (
     parse_implicit,
     read_prefix_text,
     single_atom,
-    text_bits,
     to_bits,
 )
 
@@ -65,13 +74,16 @@ class RunResult(NamedTuple):
         return self.status == HALTED
 
 
+_new_result = tuple.__new__
 _STILL_RUNNING = RunResult(STILL_RUNNING)
 _INVALID = {reason: RunResult(INVALID, reason=reason)
             for reason in (OUT_OF_DATA, PARSE_ERROR, PARTIAL_CONSUMPTION)}
 
 
 def halted(value: SExpr, consumed: int) -> RunResult:
-    return RunResult(HALTED, value, consumed)
+    # tuple.__new__ skips the Python-level __new__ NamedTuple writes, which a
+    # search pays once per halting program
+    return _new_result(RunResult, (HALTED, value, consumed, None))
 
 
 def still_running() -> RunResult:
@@ -83,12 +95,15 @@ def invalid(reason: str) -> RunResult:
     return _INVALID[reason]
 
 
+# The value of a root that only a run can settle.
+UNSETTLED = object()
+
+
 @lru_cache(maxsize=8)
 def _parseable_texts(nchars: int) -> tuple[str, ...]:
     printable = [chr(c) for c in range(32, 127)]
     out = []
-    for combo in product(printable, repeat=nchars):
-        text = "".join(combo)
+    for text in map("".join, product(printable, repeat=nchars)):
         if single_atom(text) is NOT_AN_ATOM:
             try:
                 parse_implicit(text)
@@ -156,16 +171,22 @@ class LispU:
             return invalid(PARTIAL_CONSUMPTION)
         return halted(value, len(program))
 
-    def halting_candidates(self, max_len: int):
-        """The bits of every parseable text and its newline, up to max_len.
+    def roots(self, max_len: int, budget: int | None = None):
+        """The bits of every parseable text and its newline, up to max_len,
+        each left to a run: run's shortcut settles a single atom without a
+        session, and the rule for it stays in that one place.
 
         Every halting program starts with one of them and continues with
         data, which omega.runs grows only while the run ends out of data.
-        The count is exponential in max_len/8, so keep max_len small.
+        Texts come in code order, which is the bits' order.  The count is
+        exponential in max_len/8, so keep max_len small.
         """
+        # text_bits of each printable character: str.translate spells a
+        # text this short faster than text_bits does
+        code_bits = {c: format(c, "08b") for c in range(32, 127)}
         for nchars in range(1, max_len // 8):
             for text in _parseable_texts(nchars):
-                yield text_bits(text + "\n")
+                yield text.translate(code_bits) + NEWLINE_BITS, UNSETTLED
 
 
 def run_U(program: str, budget: int | None = None) -> RunResult:
@@ -213,10 +234,12 @@ class ToyDoubling:
             return invalid(PARTIAL_CONSUMPTION)
         return halted(self._output(bits), end)
 
-    def halting_candidates(self, max_len: int):
+    def roots(self, max_len: int, budget: int | None = None):
+        """Every codeword of the domain up to max_len, settled.  Doubling
+        keeps the order of the words of one length."""
         for ndoubled in range((max_len - 2) // 2 + 1 if max_len >= 2 else 0):
             for x in all_bitstrings(ndoubled):
-                yield doubled(x) + "01"
+                yield doubled(x) + "01", self._output(x)
 
     def omega_partial(self, max_len: int) -> Dyadic:
         """Analytic mass of the domain restricted to lengths <= max_len.
@@ -260,10 +283,20 @@ class ToyPair:
             return invalid(PARTIAL_CONSUMPTION)
         return halted(tuple(parts), end)
 
-    def halting_candidates(self, max_len: int):
-        toy = ToyDoubling()
-        for first in toy.halting_candidates(max_len - 2):
-            yield from (first + rest for rest in toy.halting_candidates(max_len - len(first)))
+    def roots(self, max_len: int, budget: int | None = None):
+        """Every pair of codewords up to max_len, settled.  The pairs of one
+        length interleave in bit order, so each length is sorted."""
+        for n in range(4, max_len + 1, 2):
+            yield from sorted(
+                (doubled(x) + "01" + doubled(y) + "01", (bit_values(x), bit_values(y)))
+                for a in range(n // 2 - 1)
+                for x in all_bitstrings(a)
+                for y in all_bitstrings(n // 2 - 2 - a))
+
+
+def _behind(head: str, roots):
+    for q, value in roots:
+        yield head + q, value
 
 
 class ComposedUniversal:
@@ -300,11 +333,19 @@ class ComposedUniversal:
             return halted(result.value, len(program))
         return result
 
-    def halting_candidates(self, max_len: int):
+    def roots(self, max_len: int, budget: int | None = None):
+        """The components' roots behind their selectors, merged in order;
+        a component without roots gives its bare selector, which omega.runs
+        grows."""
+        # imported here: only compositions merge, and at module level heapq
+        # costs every process that imports the package about 0.1 MB
+        from heapq import merge
+
+        streams = []
         for k, machine in enumerate(self.machines[:max_len]):
             head = "0" * k + "1"
-            if not hasattr(machine, "halting_candidates"):
-                yield head  # a bare selector: omega.runs grows the rest
-                continue
-            for q in machine.halting_candidates(max_len - k - 1):
-                yield head + q
+            if hasattr(machine, "roots"):
+                streams.append(_behind(head, machine.roots(max_len - k - 1, budget)))
+            else:
+                streams.append(iter(((head, UNSETTLED),)))
+        return merge(*streams, key=lambda root: (len(root[0]), root[0]))

@@ -12,13 +12,17 @@ in one flat dict of locals and then in the globals, the reference ``try``
 nests a second budget where the package's lowers one ceiling, the
 reference Berry searcher reruns the searcher at each budget of its schedule
 where the package's settles the schedule with one run, the reference
-doubling decoder compares pair by pair where the package's compares all
-pairs as two numerals, and the reference allocator scans its free depths
-where the package's reads them off a bitmask.
+doubling decoder compares pair by pair where the package's compares
+windows of pairs as two numerals, the reference allocator scans its free
+depths where the package's reads them off a bitmask, and the reference
+walk runs every root it is given and sorts them into buckets by length
+where the package's takes settled roots without a run and merges the
+machine's ordered roots with the extensions it grows.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 
@@ -93,6 +97,24 @@ def halted_by_suffix_enumeration(roots, k: int, budget) -> tuple[str, ...]:
     u = LispU()
     found = [r + s for r in roots for s in bitstrings_up_to(k) if u.run(r + s, budget).halted]
     return tuple(sorted(found, key=lambda p: (len(p), p)))
+
+
+def runs_reference(machine, max_len: int, budget):
+    """omega.runs as a bucket-and-sort walk that runs every root: the
+    programs of machine.roots (or the empty program) are bucketed by length,
+    each bucket is sorted, and a run that ends out of data puts both
+    one-bit extensions in the next bucket."""
+    roots = [p for p, _ in machine.roots(max_len, budget)] if hasattr(machine, "roots") else [""]
+    buckets = defaultdict(set)
+    for p in roots:
+        if len(p) <= max_len:
+            buckets[len(p)].add(p)
+    for n in range(max_len + 1):
+        for p in sorted(buckets.pop(n, ())):
+            result = machine.run(p, budget)
+            yield p, result
+            if n < max_len and result.reason == OUT_OF_DATA:
+                buckets[n + 1].update((p + "0", p + "1"))
 
 
 def lispu_run_without_data(bits: str, budget) -> RunResult:

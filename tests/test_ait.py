@@ -65,7 +65,7 @@ class TestHUpper:
     def test_counting_bound_on_toy(self):
         # fewer than 2^k strings have a program shorter than k bits
         outputs = {}
-        for p in TOY.halting_candidates(12):
+        for p, _ in TOY.roots(12):
             result = TOY.run(p)
             outputs.setdefault(result.value, len(p))
         for k in range(0, 13):

@@ -96,6 +96,20 @@ class TestReadDoubled:
         assert read_doubled(body, 0) is None
         assert read_doubled(body + "0", 0) is None
 
+    def test_matches_the_reference_for_every_word_length_up_to_1200(self):
+        # the windows of pairs double from 32, so their edges (32, 96, 224,
+        # 480 and 992 pairs) lie inside this range: a word can end on the
+        # last pair of a window or the first pair of the next
+        rng = random.Random(71)
+        tail = "".join(rng.choice("01") for _ in range(5000))
+        for length in range(1200):
+            x = "".join(rng.choice("01") for _ in range(length))
+            for head in ("", "1"):
+                stream = head + doubled(x) + rng.choice(("01", "10")) + tail
+                found = read_doubled(stream, len(head))
+                assert found == read_doubled_reference(stream, len(head)), length
+                assert found == (x, len(stream) - len(tail)), length
+
     def test_reads_back_every_doubled_word(self):
         for x in bitstrings_up_to(8):
             assert doubled(x) == "".join(c + c for c in x)

@@ -214,7 +214,7 @@ class TestBuildComputer:
     def test_empty_stream_gives_empty_domain(self):
         machine = build_computer([])
         assert not machine.run("").halted
-        assert list(machine.halting_candidates(8)) == []
+        assert list(machine.roots(8)) == []
 
     def test_failure_reports_index(self):
         reqs = [Requirement(1, "a"), Requirement(1, "b"), Requirement(1, "c")]

@@ -8,7 +8,7 @@ import pytest
 from sdlisp.ait import H_upper, SearchExhausted
 from sdlisp.bits import bitstrings_up_to
 from sdlisp.dyadic import Dyadic
-from sdlisp.kraft import Requirement, build_computer
+from sdlisp.kraft import Allocator, Exhausted, KraftMachine, Requirement, build_computer
 from sdlisp.omega import (
     Inconclusive,
     halting_oracle_from_omega,
@@ -18,13 +18,23 @@ from sdlisp.omega import (
     solve_halting_by_count,
 )
 from sdlisp.sexpr import parse_implicit, to_bits
-from sdlisp.universal import ComposedUniversal, LispU, ToyDoubling, ToyNumeral, ToyPair
+from sdlisp.universal import (
+    UNSETTLED,
+    ComposedUniversal,
+    LispU,
+    ToyDoubling,
+    ToyNumeral,
+    ToyPair,
+    halted,
+    still_running,
+)
 
 from oracles import (
     dyadic_as_fraction,
     halted_by_suffix_enumeration,
     is_doubling_codeword,
     omega_by_enumeration,
+    runs_reference,
 )
 
 
@@ -116,8 +126,8 @@ class _OneText(LispU):
     def __init__(self, text):
         self.root = to_bits(parse_implicit(text))
 
-    def halting_candidates(self, max_len):
-        return (self.root,)
+    def roots(self, max_len, budget=None):
+        return iter(((self.root, UNSETTLED),))
 
 
 class TestRuns:
@@ -146,6 +156,96 @@ class TestRuns:
         machine = _OneText(text)
         estimate = omega_lower_bound(machine, len(machine.root) + 12, 64)
         assert estimate.halted == halted_by_suffix_enumeration([machine.root], 12, 64)
+
+
+def _seeded_kraft_machine(seed):
+    rng = random.Random(seed)
+    allocator = Allocator()
+    for i in range(rng.randrange(40)):
+        try:
+            allocator.request(Requirement(rng.randint(0, 12), rng.choice((i, ("k", i)))))
+        except Exhausted:
+            pass
+    return KraftMachine(allocator.assigned)
+
+
+# (id, machine, max_len, budget) for the walk against its reference
+WALKS = [
+    *((f"lispu-24-budget-{b}", LispU(), 24, b) for b in (0, 1, 2, 64)),
+    ("lispu-blind-16", _Blind(LispU()), 16, 64),
+    ("toy-20", ToyDoubling(), 20, None),
+    ("toy-numeral-20", ToyNumeral(), 20, None),
+    ("toy-pair-20", ToyPair(), 20, None),
+    ("composed", ComposedUniversal([ToyDoubling(), ToyPair()]), 18, None),
+    ("composed-rootless", ComposedUniversal([ToyNumeral(), _Blind(ToyPair()), ToyDoubling()]), 16, 5),
+    *((f"kraft-{seed}", _seeded_kraft_machine(seed), random.Random(seed).randint(0, 13), None)
+      for seed in range(20)),
+]
+
+
+class TestWalkAgainstReference:
+    """runs against the bucket-and-sort walk that runs every root."""
+
+    @pytest.mark.parametrize("machine, max_len, budget",
+                             [w[1:] for w in WALKS], ids=[w[0] for w in WALKS])
+    def test_same_runs_in_the_same_order(self, machine, max_len, budget):
+        assert list(runs(machine, max_len, budget)) == list(runs_reference(machine, max_len, budget))
+
+    @pytest.mark.parametrize("machine, max_len, budget",
+                             [w[1:] for w in WALKS if hasattr(w[1], "roots")],
+                             ids=[w[0] for w in WALKS if hasattr(w[1], "roots")])
+    def test_settled_roots_agree_with_run(self, machine, max_len, budget):
+        roots = list(machine.roots(max_len, budget))
+        assert [p for p, _ in roots] == sorted({p for p, _ in roots}, key=lambda p: (len(p), p))
+        for p, value in roots:
+            if value is not UNSETTLED:
+                assert machine.run(p, budget) == halted(value, len(p)), p
+
+    @pytest.mark.parametrize("budget", [0, 1, 64])
+    def test_lispu_runs_every_root(self, budget):
+        class Counted(LispU):
+            calls = 0
+
+            def run(self, program, budget=None):
+                Counted.calls += 1
+                return super().run(program, budget)
+
+        roots = list(LispU().roots(24, budget))
+        assert len(roots) == 8625
+        assert all(value is UNSETTLED for _, value in roots)
+        results = [result for _, result in runs(Counted(), 24, budget)]
+        assert Counted.calls == len(results) == 8625
+        if budget < 2:
+            assert all(result == still_running() for result in results)
+
+    def test_a_settled_root_is_not_run(self):
+        class Counted(ToyDoubling):
+            calls = 0
+
+            def run(self, program, budget=None):
+                Counted.calls += 1
+                return super().run(program, budget)
+
+        estimate = omega_lower_bound(Counted(), 16, None)
+        assert len(estimate.halted) == 255 and Counted.calls == 0
+
+    def test_a_root_equal_to_the_one_before_is_skipped(self):
+        class Twice(ToyDoubling):
+            def roots(self, max_len, budget=None):
+                for root in super().roots(max_len, budget):
+                    yield root
+                    yield root
+
+        assert list(runs(Twice(), 10, None)) == list(runs(TOY, 10, None))
+
+    @pytest.mark.parametrize("order", [("1", "0"), ("00", "1", "0"), ("01", "", "1")])
+    def test_roots_out_of_order_raise(self, order):
+        class Shuffled(ToyDoubling):
+            def roots(self, max_len, budget=None):
+                return ((p, UNSETTLED) for p in order)
+
+        with pytest.raises(ValueError, match="Shuffled"):
+            list(runs(Shuffled(), 4, None))
 
 
 class TestCountSolver:

@@ -240,7 +240,7 @@ class TestToyDoubling:
             assert self.toy.run(p).halted == is_doubling_codeword(p), p
 
     def test_candidates_are_exactly_the_domain(self):
-        assert sorted(self.toy.halting_candidates(12)) == sorted(toy_domain_up_to(12))
+        assert [p for p, _ in self.toy.roots(12)] == sorted(toy_domain_up_to(12), key=lambda p: (len(p), p))
 
     def test_budget_is_irrelevant(self):
         assert self.toy.run("00001101", 0).halted
@@ -329,7 +329,7 @@ class TestCompose:
         machines = [ToyDoubling(), ToyNumeral(), ToyPair()]
         comp = ComposedUniversal(machines)
         for k, machine in enumerate(machines):
-            for q in machine.halting_candidates(10):
+            for q, _ in machine.roots(10):
                 direct = machine.run(q)
                 composed = comp.run("0" * k + "1" + q)
                 assert composed.halted

@@ -354,6 +354,15 @@ def build_searcher(theory: SExpr) -> tuple[SExpr, int]:
 
 @dataclass(frozen=True)
 class BerryOutcome:
+    """What the searcher did under a schedule.
+
+    When it succeeds, ``theorem`` is the first oversized claim and
+    ``malformed`` counts the displays that are not ``(elegant x)`` claims,
+    both among the theorems its own winning round saw: the theory's
+    displays within that round's ``try`` limit.  ``budget`` is the first
+    schedule entry that covers the steps the searcher spent.
+    """
+
     found: bool
     searcher_constant: int
     threshold: int
@@ -389,6 +398,13 @@ def berry_searcher(theory: SExpr, schedule: Iterable[int]) -> BerryOutcome:
     once, under the largest budget, and the reported budget is the first
     entry of at least the steps it spent.  If that run fails, every entry
     fails.
+
+    The searcher's rounds ``try`` the theory object itself, so its context
+    watches that object and keeps the captures of the latest such round;
+    the theorem and ``malformed`` are read off the winning round's, and no
+    theory runs on the host.  A run's displays under a smaller limit are a
+    prefix of its displays under a larger one, so the theorem is the first
+    oversized one the theory displays at all.
     """
     n = size_chars(theory)
     searcher, constant = build_searcher(theory)
@@ -399,12 +415,13 @@ def berry_searcher(theory: SExpr, schedule: Iterable[int]) -> BerryOutcome:
     if not schedule:
         return base
     ctx = Session()._ctx(Budget(max(schedule)))
+    ctx.watch = theory
     try:
         payload = evaluate(searcher, {}, ctx)
     except (OutOfTime, OutOfData):
         return base
     budget = next(b for b in schedule if b >= ctx.budget.used)
-    theorems = run_theory(theory, budget).theorems
+    theorems = ctx.watched
     found = replace(base, found=True, value=payload, budget=budget,
                     malformed=sum(1 for t in theorems if _theorem_expression(t) is None))
     for theorem in theorems:

@@ -25,7 +25,9 @@ that it can do without: it charges the step inline, with
 index against one ``len``, and takes an atom in head position, or as an
 argument of a value primitive or of a lambda application, in place (an atom
 costs no step and no depth): a numeral or nil as itself, a symbol as its
-binding in the local frame, else in the session's globals, else itself.
+binding in the local frame, else in the session's globals, else itself.  A
+quoted argument of a value primitive is read in place too; it still costs
+its step, and at the depth limit it goes through ``evaluate``'s own rule.
 
 A local frame is one flat dict of every local binding in scope: ``let``
 copies it with one name added, and a lambda application copies its
@@ -135,7 +137,7 @@ class Closure(tuple):
 class _Ctx:
     """Everything one evaluation threads along besides the local frame."""
 
-    __slots__ = ("budget", "stream", "genv", "table", "emit")
+    __slots__ = ("budget", "stream", "genv", "table", "emit", "watch", "watched")
 
     def __init__(self, budget, stream, genv, table, emit=None):
         self.budget = budget
@@ -143,6 +145,10 @@ class _Ctx:
         self.genv = genv
         self.table = table
         self.emit = emit
+        # a try run from this context whose expression is *watch* leaves its
+        # captures in *watched* (see _try); a try's own context watches nothing
+        self.watch = None
+        self.watched = None
 
 
 def _arg(e: tuple, i: int) -> SExpr:
@@ -225,14 +231,28 @@ def evaluate(e: SExpr, env: dict[str, SExpr], ctx: _Ctx, depth: int = 0) -> SExp
                 if type(a) is str:
                     a = env[a] if a in env else ctx.genv.get(a, a)
                 elif type(a) is not int and a:
-                    a = evaluate(a, env, ctx, depth + 1)
+                    if a[0] == QUOTE and depth < MAX_DEPTH:
+                        if budget.limit is not None:  # a quote's step
+                            if budget.used >= budget.limit:
+                                raise OutOfTime()
+                            budget.used += 1
+                        a = a[1] if len(a) > 1 else NIL
+                    else:
+                        a = evaluate(a, env, ctx, depth + 1)
                 if arity == 1:
                     return fn(a)
                 b = e[2] if n > 2 else NIL
                 if type(b) is str:
                     b = env[b] if b in env else ctx.genv.get(b, b)
                 elif type(b) is not int and b:
-                    b = evaluate(b, env, ctx, depth + 1)
+                    if b[0] == QUOTE and depth < MAX_DEPTH:
+                        if budget.limit is not None:  # a quote's step
+                            if budget.used >= budget.limit:
+                                raise OutOfTime()
+                            budget.used += 1
+                        b = b[1] if len(b) > 1 else NIL
+                    else:
+                        b = evaluate(b, env, ctx, depth + 1)
                 return fn(a, b)
             if head in PRIMITIVE_ARITY:
                 if head == QUOTE:
@@ -337,6 +357,8 @@ def _try(expr: SExpr, limit: SExpr, data: str, ctx: _Ctx, depth: int = 0) -> SEx
     if own:
         budget.limit = used + declared
     captures: list[SExpr] = []
+    if expr is ctx.watch:
+        ctx.watched = captures  # and the previous round's captures go
     inner = _Ctx(budget, BitStream(data), ctx.genv, ctx.table, captures.append)
     try:
         value = evaluate(expr, {}, inner, depth)

@@ -319,15 +319,17 @@ class ComposedUniversal:
             self.exact_omega = None
 
     def run(self, program: str, budget: int | None = None) -> RunResult:
-        check_bits(program)
-        k = 0
-        while k < len(program) and program[k] == "0":
-            k += 1
+        # each bit is checked once: the selector by the zero scan, the rest
+        # by the component's own run
+        k = len(program) - len(program.lstrip("0"))
         if k == len(program):
             return invalid(OUT_OF_DATA)
-        if k >= len(self.machines):
-            return invalid(PARSE_ERROR)
+        if program[k] != "1":
+            check_bits(program)  # raises: a non-bit ends the selector
         rest = program[k + 1:]
+        if k >= len(self.machines):
+            check_bits(rest)
+            return invalid(PARSE_ERROR)
         result = self.machines[k].run(rest, budget)
         if result.halted:
             return halted(result.value, len(program))

@@ -12,6 +12,8 @@ in one flat dict of locals and then in the globals, the reference ``try``
 nests a second budget where the package's lowers one ceiling, the
 reference Berry searcher reruns the searcher at each budget of its schedule
 where the package's settles the schedule with one run, the reference
+``malformed`` count replays the searcher's doubling rounds on the host
+where the package's reads the winning round's captures, the reference
 doubling decoder compares pair by pair where the package's compares
 windows of pairs as two numerals, the reference allocator scans its free
 depths where the package's reads them off a bitmask, and the reference
@@ -672,3 +674,21 @@ def berry_searcher_reference(theory: SExpr, schedule) -> BerryOutcome:
             theory_size=n, value=payload, budget=budget, malformed=malformed,
         )
     return base
+
+
+def berry_malformed_reference(theory: SExpr) -> int:
+    """The malformed theorems of the searcher's winning round, replayed on
+    the host: the theory runs for 1, 2, 4, ... steps, as the searcher's
+    doubling ``try`` runs it, until a run displays a claim about an
+    expression past the threshold; the count is that run's displays that
+    are not such claims.  Call it only for a theory whose searcher
+    succeeded, or it does not return.
+    """
+    threshold = size_chars(theory) + build_searcher(theory)[1]
+    b = 1
+    while True:
+        theorems = run_theory(theory, b).theorems
+        exprs = [_theorem_expression(t) for t in theorems]
+        if any(x is not None and size_chars(x) > threshold for x in exprs):
+            return exprs.count(None)
+        b *= 2

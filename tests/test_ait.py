@@ -1,7 +1,10 @@
 """Complexity searches, elegance, pairing, theories, and the searcher."""
 
+from dataclasses import replace
+
 import pytest
 
+from sdlisp import ait
 from sdlisp.ait import (
     ExpressionSpace,
     H_upper,
@@ -29,6 +32,7 @@ from sdlisp.universal import ComposedUniversal, LispU, ToyDoubling, ToyNumeral, 
 from oracles import (
     Env,
     ReferenceCtx,
+    berry_malformed_reference,
     berry_searcher_reference,
     brute_force_elegance,
     evaluate_reference,
@@ -371,6 +375,15 @@ BERRY_THEORIES = {
     "unsound": unsound_mock_theory(),
     "loop": parse_full("(let loop (lambda (l) (l l)) (loop loop))"),
     "terminating": parse_full("(+ 1 1)"),
+    # the unsound theory, displaying its counter after each claim: a
+    # malformed theorem for every claim
+    "unsound-malformed": parse_full(
+        "(let pow (lambda (p k a) (if (= k 0) a (p p (- k 1) (* 10 a))))"
+        " (let loop (lambda (l n)"
+        " (let d (display (cons (' elegant) (cons (pow pow n 1) nil)))"
+        " (let m (display n)"
+        " (l l (+ n n)))))"
+        " (loop loop 1)))"),
 }
 # ascending, descending, duplicated, empty and with 0; the unsound theory's
 # searcher needs 34,084 steps, so its schedules straddle that
@@ -382,7 +395,15 @@ BERRY_SCHEDULES = {
                 [34083], [34084], [34083, 34084, 34085], [34085, 34084, 34083]),
     "loop": ([200, 800], [800, 200, 0], [], [0]),
     "terminating": ([1, 16, 256], [256, 16], [16, 16], [], [0, 64]),
+    "unsound-malformed": ([4096, 65536, 1048576], [1048576]),
 }
+
+
+def _expected_berry(theory, schedule):
+    """The rerunning searcher's outcome, with ``malformed`` counted in the
+    winning round, as the host replay of the searcher's doubling counts it."""
+    want = berry_searcher_reference(theory, schedule)
+    return replace(want, malformed=berry_malformed_reference(theory) if want.found else 0)
 
 
 class TestBerryOneRun:
@@ -394,10 +415,29 @@ class TestBerryOneRun:
         for theory, schedules in BERRY_SCHEDULES.items() for schedule in schedules])
     def test_agrees_with_the_rerunning_searcher(self, theory, schedule):
         got = berry_searcher(BERRY_THEORIES[theory], schedule)
-        assert got == berry_searcher_reference(BERRY_THEORIES[theory], schedule)
+        assert got == _expected_berry(BERRY_THEORIES[theory], schedule)
 
     def test_schedule_may_be_an_iterator(self):
         theory = BERRY_THEORIES["unsound"]
         got = berry_searcher(theory, iter([4096, 40000]))
-        assert got == berry_searcher_reference(theory, iter([4096, 40000]))
+        assert got == _expected_berry(theory, [4096, 40000])
         assert got.found and got.budget == 40000
+
+    @pytest.mark.parametrize("schedule,budget", [([4096, 65536, 1048576], 65536),
+                                                 ([1048576], 1048576)])
+    def test_malformed_counts_the_winning_round_whatever_the_schedule(self, schedule, budget):
+        # the winning round tries the theory for 16,384 steps and sees 11
+        # counters; the schedule entry does not matter
+        got = berry_searcher(BERRY_THEORIES["unsound-malformed"], schedule)
+        assert (got.found, got.budget, got.malformed) == (True, budget, 11)
+
+    def test_no_theory_runs_on_the_host(self, monkeypatch):
+        calls = []
+
+        def counting(theory, budget):
+            calls.append(budget)
+            return run_theory(theory, budget)
+
+        monkeypatch.setattr(ait, "run_theory", counting)
+        assert berry_searcher(unsound_mock_theory(), [4096, 65536, 1048576]).found
+        assert calls == []

@@ -230,7 +230,7 @@ class TestAtomCalls:
     """An atom costs no step and no depth, so ``evaluate`` takes it in place:
     one call per non-atomic expression outside a tail position, none per
     atom, in head position or as an argument of a value primitive or of a
-    lambda application."""
+    lambda application, and none per quoted argument of a value primitive."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -265,6 +265,9 @@ class TestAtomCalls:
         ("((lambda (a b) (+ a b)) x x)", 10, 2),
         ("(+ (* 2 3) x)", 11, 2),
         ("(f (car y) (cdr y))", (1, 2), 3),
+        ("(cons (' a) y)", ("a", 1, 2), 1),
+        ("(= (car y) (' 1))", "true", 2),
+        ("(f (' a) nil)", ("a",), 2),
     ])
     def test_one_call_per_non_atomic_expression(self, session, calls, text, value, count):
         expr = parse_full(text)

@@ -235,6 +235,15 @@ class TestDepthRule:
         with pytest.raises(OutOfTime):
             Session().evaluate(_nested(MAX_DEPTH + 2))
 
+    def test_a_quoted_operand_is_one_level_deeper(self):
+        # the quote under k nested forms is k levels deep, and costs a step
+        assert Session().evaluate(_nested(MAX_DEPTH, (QUOTE, 0))) == MAX_DEPTH
+        with pytest.raises(OutOfTime):
+            Session().evaluate(_nested(MAX_DEPTH + 1, (QUOTE, 0)))
+        assert Session().evaluate(_nested(2, (QUOTE, 0)), budget=3) == 2
+        with pytest.raises(OutOfTime):
+            Session().evaluate(_nested(2, (QUOTE, 0)), budget=2)
+
     def test_try_counts_one_level(self):
         # try at level 1 runs its expression at level 2
         def tried(k):

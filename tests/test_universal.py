@@ -288,10 +288,13 @@ def test_non_bit_programs_are_rejected(machine, program):
         machine.run(program, 100)
 
 
-@pytest.mark.parametrize("machine,program", [
-    (ToyDoubling(), "00001101"), (ToyNumeral(), "11001101"), (ToyPair(), "1101001101"),
-], ids=["toy", "toy-numeral", "toy-pair"])
-def test_a_halting_toy_run_checks_its_program_once(machine, program, monkeypatch):
+@pytest.mark.parametrize("machine,program,checked", [
+    (ToyDoubling(), "00001101", "00001101"), (ToyNumeral(), "11001101", "11001101"),
+    (ToyPair(), "1101001101", "1101001101"),
+    # the selector is checked by its own scan, the rest by the component
+    (ComposedUniversal([ToyDoubling(), ToyPair()]), "01" + "1101001101", "1101001101"),
+], ids=["toy", "toy-numeral", "toy-pair", "composed"])
+def test_a_halting_toy_run_checks_its_program_once(machine, program, checked, monkeypatch):
     calls = []
 
     def counting(bits_):
@@ -301,7 +304,14 @@ def test_a_halting_toy_run_checks_its_program_once(machine, program, monkeypatch
     monkeypatch.setattr(bits, "check_bits", counting)
     monkeypatch.setattr(universal, "check_bits", counting)
     assert machine.run(program).halted
-    assert calls == [program]
+    assert calls == [checked]
+
+
+@pytest.mark.parametrize("program", ["0x1" + "00001101", "01" + "0000110x", "001" + "0x"],
+                         ids=["selector", "rest", "past-the-machines"])
+def test_a_composed_run_rejects_a_non_bit_anywhere(program):
+    with pytest.raises(ValueError, match="not a bit string"):
+        ComposedUniversal([ToyDoubling(), ToyPair()]).run(program)
 
 
 class TestCompose:

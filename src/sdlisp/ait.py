@@ -432,7 +432,12 @@ def berry_searcher(theory: SExpr, schedule: Iterable[int]) -> BerryOutcome:
 
 
 def sound_mock_theory() -> SExpr:
-    """Displays the (true) elegance of every numeral, forever."""
+    """Claims the elegance of every numeral, forever.
+
+    Not every claim is true: ``(let p (lambda (p k a) (if (= k 0) a (p p
+    (- k 1) (* 10 a)))) (p p 100 1))`` is 74 chars and evaluates to 10^100,
+    whose numeral has 101.  No search at desk scale reaches such a claim.
+    """
     return parse_full(
         "(let loop (lambda (l n)"
         " (let d (display (cons (' elegant) (cons n nil)))"

@@ -7,6 +7,8 @@ cursor so self-delimiting decoders can consume exactly as much as they need.
 
 from __future__ import annotations
 
+from itertools import product
+
 
 class OutOfData(Exception):
     """Raised when a read runs past the end of the available binary data."""
@@ -71,11 +73,7 @@ def read_doubled(bits: str, i: int = 0) -> tuple[str, int] | None:
 
 def all_bitstrings(length: int):
     """All bit strings of exactly *length* bits, in lexicographic order."""
-    if length == 0:
-        yield ""
-        return
-    for i in range(1 << length):
-        yield format(i, f"0{length}b")
+    return map("".join, product("01", repeat=length))
 
 
 def bitstrings_up_to(max_len: int):

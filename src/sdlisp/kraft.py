@@ -106,10 +106,9 @@ class KraftMachine:
     def roots(self, max_len: int, budget: int | None = None):
         """Every codeword up to max_len with its output, settled: the
         stable sort by length keeps each length in bit order."""
-        for codeword in sorted(self.codewords, key=len):
-            if len(codeword) > max_len:
-                return
-            yield codeword, self.outputs[codeword]
+        words = sorted(self.codewords, key=len)
+        del words[bisect_right(words, max_len, key=len):]
+        return zip(words, map(self.outputs.__getitem__, words))
 
 
 @dataclass(frozen=True)

@@ -29,18 +29,10 @@ the non-halting results are shared instances built once.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from typing import NamedTuple
 
-from .bits import (
-    BitStream,
-    OutOfData,
-    all_bitstrings,
-    bit_values,
-    check_bits,
-    doubled,
-    read_doubled,
-)
+from .bits import BitStream, OutOfData, bit_values, check_bits, read_doubled
 from .dyadic import Dyadic, sum_dyadic
 from .interp import Budget, OutOfTime, Session, evaluate
 from .sexpr import (
@@ -214,6 +206,12 @@ def _read_codeword(program: str, i: int):
     return found
 
 
+def _codewords(n: int):
+    """The doubling codewords (each bit twice, then 01) of the n-bit
+    strings, in the strings' order."""
+    return map("".join, product(*[("00", "11")] * n, ("01",)))
+
+
 class ToyDoubling:
     """Reads pairs of equal bits and echoes one of each; an unequal pair
     stops the reading.  Halting is decidable, the domain is the doubled
@@ -226,6 +224,11 @@ class ToyDoubling:
 
     _output = staticmethod(bit_values)  # the value built from the decoded bits
 
+    @staticmethod
+    def _values(n: int):
+        """_output of every n-bit string, in order."""
+        return product((0, 1), repeat=n)
+
     def run(self, program: str, budget: int | None = None) -> RunResult:
         bits, end = _read_codeword(check_bits(program), 0)
         if bits is None:
@@ -235,11 +238,9 @@ class ToyDoubling:
         return halted(self._output(bits), end)
 
     def roots(self, max_len: int, budget: int | None = None):
-        """Every codeword of the domain up to max_len, settled.  Doubling
-        keeps the order of the words of one length."""
-        for ndoubled in range((max_len - 2) // 2 + 1 if max_len >= 2 else 0):
-            for x in all_bitstrings(ndoubled):
-                yield doubled(x) + "01", self._output(x)
+        """Every codeword of the domain up to max_len, settled.  Each
+        length's words and values stream in the same (bit) order."""
+        return chain.from_iterable(zip(_codewords(n), self._values(n)) for n in range(max_len // 2))
 
     def omega_partial(self, max_len: int) -> Dyadic:
         """Analytic mass of the domain restricted to lengths <= max_len.
@@ -261,6 +262,10 @@ class ToyNumeral(ToyDoubling):
     @staticmethod
     def _output(bits: str) -> int:
         return int(bits, 2) if bits else 0
+
+    @staticmethod
+    def _values(n: int):
+        return range(1 << n)
 
 
 class ToyPair:
@@ -286,12 +291,10 @@ class ToyPair:
     def roots(self, max_len: int, budget: int | None = None):
         """Every pair of codewords up to max_len, settled.  The pairs of one
         length interleave in bit order, so each length is sorted."""
+        words = [list(zip(_codewords(k), ToyDoubling._values(k))) for k in range(max_len // 2 - 1)]
         for n in range(4, max_len + 1, 2):
-            yield from sorted(
-                (doubled(x) + "01" + doubled(y) + "01", (bit_values(x), bit_values(y)))
-                for a in range(n // 2 - 1)
-                for x in all_bitstrings(a)
-                for y in all_bitstrings(n // 2 - 2 - a))
+            yield from sorted((x + y, (u, v)) for a in range(n // 2 - 1)
+                              for (x, u), (y, v) in product(words[a], words[n // 2 - 2 - a]))
 
 
 def _behind(head: str, roots):

@@ -1,11 +1,12 @@
 """Universal computer, toy machines, and the 0^k1 composition."""
 
 import random
+from itertools import islice
 
 import pytest
 
 from sdlisp import bits, universal
-from sdlisp.bits import bitstrings_up_to, check_bits
+from sdlisp.bits import bit_values, bitstrings_up_to, check_bits, doubled
 from sdlisp.interp import run_source
 from sdlisp.kraft import Requirement, build_computer
 from sdlisp.sexpr import (
@@ -276,6 +277,41 @@ class TestToyPair:
 
     def test_partial_rejected(self):
         assert not ToyPair().run("01").halted
+
+
+class TestToyRoots:
+    """The toys' streamed roots against their definition: the doubled
+    codeword of every bit string, with the value run gives it."""
+
+    @staticmethod
+    def strings(max_len):
+        return [format(i, f"0{n}b") if n else "" for n in range(max_len + 1) for i in range(1 << n)]
+
+    @pytest.mark.parametrize("machine", [ToyDoubling(), ToyNumeral()], ids=lambda m: m.name)
+    def test_roots_match_the_definition_through_20_bits(self, machine):
+        reference = [(doubled(x) + "01", machine._output(x)) for x in self.strings(9)]
+        for max_len in range(21):
+            assert list(machine.roots(max_len)) == [r for r in reference if len(r[0]) <= max_len], max_len
+
+    def test_pair_roots_match_the_definition_through_16_bits(self):
+        reference = sorted(((doubled(x) + "01" + doubled(y) + "01", (bit_values(x), bit_values(y)))
+                            for x in self.strings(6) for y in self.strings(6 - len(x))),
+                           key=lambda r: (len(r[0]), r[0]))
+        for max_len in range(17):
+            assert list(ToyPair().roots(max_len)) == [r for r in reference if len(r[0]) <= max_len], max_len
+
+    @pytest.mark.parametrize("machine", [ToyDoubling(), ToyNumeral()], ids=lambda m: m.name)
+    def test_values_are_the_outputs_of_run(self, machine):
+        """_values(n) streams what run's _output builds, exhaustively through
+        16 decoded bits, so the two cannot drift apart (test_omega checks
+        each settled root against its run)."""
+        for n in range(17):
+            strings = (format(i, f"0{n}b") if n else "" for i in range(1 << n))
+            assert list(machine._values(n)) == list(map(machine._output, strings)), n
+
+    def test_roots_stream_without_building_a_length(self):
+        assert list(islice(ToyDoubling().roots(10_000), 3)) == [("01", ()), ("0001", (0,)), ("1101", (1,))]
+        assert list(islice(ToyNumeral().roots(10_000), 3)) == [("01", 0), ("0001", 0), ("1101", 1)]
 
 
 @pytest.mark.parametrize("machine", [ToyDoubling(), ToyNumeral(), ToyPair(), LispU(),

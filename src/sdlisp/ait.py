@@ -2,10 +2,12 @@
 
 True minimal program size is uncomputable, so every search here is capped:
 by program length in bits (or characters), and by evaluation steps.  A
-record is marked exact only when the machine's halting problem is decidable
-and the whole space below the found size was covered; otherwise it is an
-upper bound and nothing more.  "Elegant" likewise always means elegant at
-the given caps unless the machine makes it decidable.
+minimum search runs every smaller program before it finds its witness, and
+one rule reads exactness off those runs: a witness of size k is exact when
+no run smaller than k ended undecided (still running, or out of time), since
+every other outcome is final under every larger budget.  Otherwise the
+record is an upper bound and nothing more.  "Elegant" always means elegant
+at the given caps and budget.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .sexpr import (
     size_chars,
     to_bits,
 )
-from .universal import LispU
+from .universal import STILL_RUNNING, LispU
 
 # Size in characters of the analogous searcher routine in the dialect this
 # construction was first carried out in; reported next to ours for scale.
@@ -51,7 +53,8 @@ class ComplexityRecord:
     """A witness that the target has a program of this size.
 
     ``exact`` means the minimum is certified, not merely bounded: every
-    smaller program was enumerated and decided.
+    smaller program (or expression of the space) ran, and none ended
+    undecided, so none computes the target under any budget.
     """
 
     target: SExpr
@@ -64,20 +67,20 @@ class ComplexityRecord:
 
 
 def H_upper(x: SExpr, machine, size_cap: int, budget: int | None) -> ComplexityRecord:
-    """Smallest program found for *x*: length order, then lexicographic."""
+    """Smallest program found for *x*: length order, then lexicographic.
+
+    The witness is exact when no shorter run ended still running: by the
+    machine contract (see universal) the walk then decided every shorter
+    program.  The toys and Kraft machines never answer still-running.
+    """
+    undecided = size_cap + 1  # length of the first still-running program
     for p, result in runs(machine, size_cap, budget):
-        if result.halted and result.value == x:
-            return ComplexityRecord(
-                target=x,
-                witness=p,
-                size=len(p),
-                search_cap=size_cap,
-                budget=budget,
-                exact=bool(getattr(machine, "decides_halting", False)),
-            )
-    raise SearchExhausted(
-        f"no program of <= {size_cap} bits computes {print_canonical(x)}"
-    )
+        if result.status == STILL_RUNNING:
+            undecided = min(undecided, len(p))
+        elif result.halted and result.value == x:
+            return ComplexityRecord(target=x, witness=p, size=len(p), search_cap=size_cap,
+                                    budget=budget, exact=len(p) <= undecided)
+    raise SearchExhausted(f"no program of <= {size_cap} bits computes {print_canonical(x)}")
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +148,15 @@ def _space_of_size(space: ExpressionSpace, size: int) -> tuple:
 
 def lisp_complexity_upper(x: SExpr, char_cap: int, budget: int | None,
                           space: ExpressionSpace | None = None) -> ComplexityRecord:
-    """Smallest enumerated expression whose value is *x*."""
+    """Smallest enumerated expression whose value is *x*.
+
+    The witness is exact when no smaller expression ran out of time (depth
+    included); out-of-data is final, since the search gives no data.
+    """
     space = space or ExpressionSpace()
     ctx = Session()._ctx(Budget(budget))
     shared = ctx.budget
+    undecided = char_cap + 1  # size of the first expression out of time
     for size in range(1, char_cap + 1):
         for expr in space.of_size(size):
             if type(expr) is int:
@@ -158,18 +166,14 @@ def lisp_complexity_upper(x: SExpr, char_cap: int, budget: int | None,
                     shared.limit = shared.used + budget
                 try:
                     value = evaluate(expr, {}, ctx)
-                except (OutOfTime, OutOfData):
+                except OutOfTime:
+                    undecided = min(undecided, size)
+                    continue
+                except OutOfData:
                     continue
             if value == x:
-                return ComplexityRecord(
-                    target=x,
-                    witness=expr,
-                    size=size,
-                    search_cap=char_cap,
-                    budget=budget,
-                    exact=False,
-                    unit="chars",
-                )
+                return ComplexityRecord(target=x, witness=expr, size=size, search_cap=char_cap,
+                                        budget=budget, exact=size <= undecided, unit="chars")
     raise SearchExhausted(f"no expression of <= {char_cap} chars evaluates to {print_canonical(x)}")
 
 
@@ -273,7 +277,8 @@ def info_measures(x: SExpr, y: SExpr, machine, size_cap: int, budget: int | None
 
     The joint target is the two-element list; the machine must be able to
     output pairs for the joint search to succeed.  Differences of mere
-    upper bounds bound nothing, so the report is labeled accordingly.
+    upper bounds bound nothing, so the report is exact only when its three
+    records are, and is labeled accordingly.
     """
     h_x = H_upper(x, machine, size_cap, budget)
     h_y = H_upper(y, machine, size_cap, budget)

@@ -78,7 +78,6 @@ class KraftMachine:
     for its requirement's output, consumed exactly."""
 
     name = "kraft"
-    decides_halting = True
 
     def __init__(self, assignments: list[tuple[str, SExpr]]):
         self.assignments = list(assignments)

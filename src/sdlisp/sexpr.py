@@ -251,28 +251,25 @@ class _Reader:
                 return value
 
 
-def parse_full(text: str) -> SExpr:
-    """Read one complete, fully parenthesized expression."""
-    reader = _Reader(tokenize(text))
+def _read_whole(reader: _Reader, plain: bool) -> SExpr:
+    """The one expression that is all of the reader's text."""
     if reader.at_end():
         raise SExprSyntaxError("empty input")
-    expr, _ = reader.read(plain=True)
+    expr, _ = reader.read(plain)
     if not reader.at_end():
         tok = reader.tokens[reader.pos]
         raise SExprSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
     return expr
+
+
+def parse_full(text: str) -> SExpr:
+    """Read one complete, fully parenthesized expression."""
+    return _read_whole(_Reader(tokenize(text)), plain=True)
 
 
 def parse_implicit(text: str, table: ArityTable | None = None) -> SExpr:
     """Read one expression in the abbreviated (implicit-parenthesis) notation."""
-    reader = _Reader(tokenize(text), table)
-    if reader.at_end():
-        raise SExprSyntaxError("empty input")
-    expr, _ = reader.read(plain=False)
-    if not reader.at_end():
-        tok = reader.tokens[reader.pos]
-        raise SExprSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return expr
+    return _read_whole(_Reader(tokenize(text), table), plain=False)
 
 
 def iter_forms(text: str, table: ArityTable | None = None) -> Iterator[SExpr]:

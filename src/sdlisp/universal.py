@@ -10,7 +10,9 @@ which the halting-probability machinery requires.
 Every machine keeps one contract with the searches that extend programs bit
 by bit (omega.runs): the reason out-of-data means the run needed bits past
 the end of the program, and every other outcome is final for every
-extension of it.
+extension of it.  Every outcome but still-running is final under every
+larger budget too, so a walk in which nothing below k bits ended still
+running has decided every program shorter than k (ait.H_upper).
 
 A machine may also enumerate the roots of those searches:
 ``roots(max_len, budget)`` yields ``(program, value)`` pairs of at most
@@ -118,7 +120,6 @@ class LispU:
     """
 
     name = "lispu"
-    decides_halting = False
     exact_omega = None
 
     def run(self, program: str, budget: int | None = None) -> RunResult:
@@ -219,7 +220,6 @@ class ToyDoubling:
     """
 
     name = "toy"
-    decides_halting = True
     exact_omega = Dyadic(1, 1)
 
     _output = staticmethod(bit_values)  # the value built from the decoded bits
@@ -272,7 +272,6 @@ class ToyPair:
     """Two doubling codewords back to back; outputs the pair of strings."""
 
     name = "toy-pair"
-    decides_halting = True
     exact_omega = Dyadic(1, 2)
 
     def run(self, program: str, budget: int | None = None) -> RunResult:
@@ -313,7 +312,6 @@ class ComposedUniversal:
 
     def __init__(self, machines):
         self.machines = list(machines)
-        self.decides_halting = all(getattr(m, "decides_halting", False) for m in self.machines)
         omegas = [getattr(m, "exact_omega", None) for m in self.machines]
         if self.machines and all(o is not None for o in omegas):
             self.exact_omega = sum_dyadic(

@@ -255,10 +255,11 @@ def brute_force_elegance(char_cap: int, budget: int | None, symbols: tuple[str, 
 def first_witness(x, char_cap: int, budget: int | None, symbols: tuple[str, ...],
                   numeral_limit: int | None = None):
     """The first assembled text, sizes ascending, whose value is *x* within
-    a fresh budget, and how many texts before it ran out of time; the text
-    is None when no text up to the cap evaluates to *x*."""
+    a fresh budget, and the sizes of the texts before it that ran out of
+    time, in order; the text is None when no text up to the cap evaluates
+    to *x*."""
     session = Session()
-    out_of_time = 0
+    out_of_time = []
     for size in range(1, char_cap + 1):
         for text in texts_of_size(size, symbols, numeral_limit):
             ctx = session._ctx(Budget(budget), stream=None, captures=[])
@@ -266,7 +267,7 @@ def first_witness(x, char_cap: int, budget: int | None, symbols: tuple[str, ...]
                 if evaluate(parse_full(text), {}, ctx) == x:
                     return text, out_of_time
             except OutOfTime:
-                out_of_time += 1
+                out_of_time.append(size)
             except OutOfData:
                 pass
     return None, out_of_time

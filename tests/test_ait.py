@@ -27,7 +27,15 @@ from sdlisp.bits import bitstrings_up_to
 from sdlisp.dyadic import Dyadic
 from sdlisp.interp import Budget, OutOfData, OutOfTime, Session
 from sdlisp.sexpr import parse_full, parse_implicit, print_canonical, size_chars, to_bits
-from sdlisp.universal import ComposedUniversal, LispU, ToyDoubling, ToyNumeral, ToyPair
+from sdlisp.universal import (
+    UNSETTLED,
+    ComposedUniversal,
+    LispU,
+    ToyDoubling,
+    ToyNumeral,
+    ToyPair,
+    still_running,
+)
 
 from oracles import (
     Env,
@@ -39,8 +47,32 @@ from oracles import (
     first_witness,
     texts_of_size,
 )
+from test_omega import _Blind, _seeded_kraft_machine
 
 TOY = ToyDoubling()
+
+
+class _Stalling(ToyDoubling):
+    """The toy, except that one codeword runs on under every budget; its
+    root is left to the run, so the walk sees it."""
+
+    def __init__(self, stalled):
+        self.stalled = stalled
+
+    def run(self, program, budget=None):
+        return still_running() if program == self.stalled else super().run(program, budget)
+
+    def roots(self, max_len, budget=None):
+        for p, value in super().roots(max_len, budget):
+            yield p, UNSETTLED if p == self.stalled else value
+
+
+class _SizesReversed(ExpressionSpace):
+    """The default space with each size's order reversed: a size's nested
+    heads, the first expressions to run out of time, come before its sums."""
+
+    def of_size(self, size):
+        return super().of_size(size)[::-1]
 
 
 class TestHUpper:
@@ -62,9 +94,40 @@ class TestHUpper:
         with pytest.raises(SearchExhausted):
             H_upper(("a", "b"), LispU(), 8, 10)
 
-    def test_lispu_upper_bound_is_not_exact(self):
+    def test_lispu_record_is_exact_when_no_shorter_program_runs_on(self):
+        # no root is shorter than 16 bits, so nothing shorter ran at all
         record = H_upper(0, LispU(), 16, 100)
-        assert record.size == 16 and not record.exact
+        assert record.size == 16 and record.exact
+
+    def test_still_running_shorter_program_makes_witness_inexact(self):
+        machine = _Stalling("0001")  # the 4-bit codeword of (0)
+        assert H_upper((), machine, 10, None).exact  # 2 bits, before it
+        assert H_upper((1,), machine, 10, None).exact  # "1101": 4 bits, the same length
+        record = H_upper((0, 0), machine, 10, None)
+        assert record.witness == "000001" and not record.exact
+        with pytest.raises(SearchExhausted):
+            H_upper((0,), machine, 10, None)
+
+    @pytest.mark.parametrize("machine, target, cap, budget", [
+        (TOY, (0, 0, 1), 10, None),
+        (ToyNumeral(), 5, 10, None),
+        (ComposedUniversal([TOY, ToyPair()]), ((0,), (1,)), 16, None),
+        (LispU(), 0, 16, 100),
+        (_Stalling("0001"), (0, 0), 10, None),
+    ])
+    def test_run_only_wrapper_gives_the_same_record(self, machine, target, cap, budget):
+        assert H_upper(target, _Blind(machine), cap, budget) == H_upper(target, machine, cap, budget)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_kraft_machines_are_exact(self, seed):
+        machine = _seeded_kraft_machine(seed)
+        first = {}  # each output's first codeword in (length, bit) order
+        for codeword, output in sorted(machine.assignments, key=lambda a: (len(a[0]), a[0])):
+            first.setdefault(output, codeword)
+        cap = max(map(len, first.values()), default=0)
+        for output, codeword in first.items():
+            record = H_upper(output, machine, cap, None)
+            assert (record.witness, record.exact) == (codeword, True)
 
     def test_counting_bound_on_toy(self):
         # fewer than 2^k strings have a program shorter than k bits
@@ -111,16 +174,33 @@ class TestLispComplexity:
         with pytest.raises(SearchExhausted):
             lisp_complexity_upper(10 ** 9, 3, 16)
 
-    @pytest.mark.parametrize("target", [81, parse_full("(1)")])
+    @pytest.mark.parametrize("target", [81, parse_full("(1)"), 7, ()])
     def test_witness_after_runs_out_of_time(self, target):
         # the search shares one budget; each expression must still get
-        # exactly one step, as with a fresh budget apiece
+        # exactly its budget, as with a fresh budget apiece, and the
+        # witness is exact when no smaller expression ran out of time
         space = ExpressionSpace(numeral_limit=9)
-        text, out_of_time = first_witness(target, 8, 1, space.symbols, numeral_limit=9)
-        assert out_of_time > 0
-        record = lisp_complexity_upper(target, 8, 1, space)
-        assert print_canonical(record.witness) == text
-        assert record.size == len(text)
+        for budget in (0, 1, 4, 64):
+            text, out_of_time = first_witness(target, 8, budget, space.symbols, numeral_limit=9)
+            if budget == 1 and target in (81, (1,)):
+                assert out_of_time
+            if text is None:
+                with pytest.raises(SearchExhausted):
+                    lisp_complexity_upper(target, 8, budget, space)
+                continue
+            record = lisp_complexity_upper(target, 8, budget, space)
+            assert print_canonical(record.witness) == text
+            assert record.size == len(text)
+            assert record.exact == all(size >= len(text) for size in out_of_time)
+
+    def test_same_size_out_of_time_keeps_the_witness_exact(self):
+        space = _SizesReversed(numeral_limit=9)
+        # at budget 2, (((c))) runs out of time before (+ 9 9), both 7 chars
+        record = lisp_complexity_upper(18, 7, 2, space)
+        assert print_canonical(record.witness) == "(+ 9 9)" and record.exact
+        # at budget 1, ((c)) runs out of time first, at 5 chars
+        record = lisp_complexity_upper(18, 7, 1, space)
+        assert print_canonical(record.witness) == "(+ 9 9)" and not record.exact
 
 
 def _elegance_by_reference(char_cap, budget, space):
@@ -308,6 +388,12 @@ class TestInfoMeasures:
         assert report.h_xy.size == 2 + 4 + 4
         assert report.mutual == 0
         assert report.label == "exact"
+
+    @pytest.mark.parametrize("x, y", [((0,), (1,)), ((), (1, 1))])
+    def test_run_only_wrapper_gives_the_same_report(self, x, y):
+        bare = info_measures(x, y, self.machine, 16, None)
+        assert info_measures(x, y, _Blind(self.machine), 16, None) == bare
+        assert bare.exact
 
     def test_equal_arguments_report(self):
         report = info_measures((), (), self.machine, 12, None)

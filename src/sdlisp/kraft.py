@@ -16,12 +16,19 @@ it frees one right half at each depth it passes, all of them depths that
 held no free block, so the invariant survives every request.  The allocator
 keeps the free depths as a bitmask too: that block's depth is the mask's
 highest 1-bit at or below s.
+
+A build therefore needs no allocation to know whether it fails.  The
+running sum only grows, so the stream's total decides: a stream whose total
+is at most one is allocated with no per-request check, and one whose total
+exceeds one is scanned with the free-depth rule alone, on the bitmask,
+making no codeword, to find the first request that does not fit.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .bits import check_bits
 from .dyadic import Dyadic, mass
@@ -43,6 +50,17 @@ class Exhausted(Exception):
     """No codeword of the requested size is available."""
 
 
+def _fit(free_mask: int, size: int) -> tuple[int, int]:
+    """First fit's free-depth rule for a size-bit request: the depth of the
+    block it splits (the deepest free depth at or below size) and the free
+    mask after the split.  Raises Exhausted when no such depth is free."""
+    depth = (free_mask & ((2 << size) - 1)).bit_length() - 1
+    if depth < 0:
+        raise Exhausted(f"no free {size}-bit codeword")
+    # take depth's block; the split frees depths depth+1..size
+    return depth, free_mask ^ ((1 << depth) | ((2 << size) - (2 << depth)))
+
+
 class Allocator:
     """First-fit codeword allocator over one unit of dyadic storage."""
 
@@ -57,18 +75,15 @@ class Allocator:
 
     def request(self, req: Requirement) -> str:
         """Assign and return a codeword for *req*; raises Exhausted."""
-        depth = (self.free_mask & ((2 << req.size) - 1)).bit_length() - 1
-        if depth < 0:
-            raise Exhausted(f"no free {req.size}-bit codeword")
-        index = self.free.pop(depth)
-        # take depth's block; the split below frees depths depth+1..size
-        self.free_mask ^= (1 << depth) | ((2 << req.size) - (2 << depth))
-        while depth < req.size:
+        size, free = req.size, self.free
+        depth, self.free_mask = _fit(self.free_mask, size)
+        index = free.pop(depth)
+        while depth < size:
             # split: descend into the left half, free the right half
             index <<= 1
             depth += 1
-            self.free[depth] = index + 1
-        codeword = format(index, f"0{req.size}b") if req.size else ""
+            free[depth] = index + 1
+        codeword = bin(index | 1 << size)[3:]
         self.assigned.append((codeword, req.output))
         return codeword
 
@@ -121,11 +136,29 @@ class BuildFailure(Exception):
 
 def build_computer(requirements) -> KraftMachine:
     """Process requirements in order into a machine; fails at the first
-    request that cannot be met, reporting its index."""
+    request that cannot be met, reporting its index.
+
+    The stream's total mass decides which: the running sum only grows, so a
+    stream whose total is at most one is allocated with no failure check,
+    and a stream whose total exceeds one is scanned on the free mask alone,
+    making no codeword, for the first request that does not fit."""
+    if not isinstance(requirements, (list, tuple)):
+        requirements = list(requirements)  # a one-shot stream is read twice
+    if mass(map(attrgetter("size"), requirements)) > 1:
+        raise _first_misfit(requirements)
     allocator = Allocator()
+    request = allocator.request
+    for req in requirements:
+        request(req)
+    return KraftMachine(allocator.assigned)
+
+
+def _first_misfit(requirements) -> BuildFailure:
+    """The failure of a stream whose total exceeds one: the first request
+    the free-depth rule cannot place, found on the free mask alone."""
+    free_mask = 1
     for i, req in enumerate(requirements):
         try:
-            allocator.request(req)
+            free_mask = _fit(free_mask, req.size)[1]
         except Exhausted:
-            raise BuildFailure(i, req) from None
-    return KraftMachine(allocator.assigned)
+            return BuildFailure(i, req)

@@ -231,3 +231,75 @@ class TestBuildComputer:
         machine = build_computer([Requirement(2, "a"), Requirement(2, "b")])
         estimate = omega_lower_bound(machine, 8, None)
         assert estimate.value == machine.exact_omega
+
+
+def reference_build(sizes):
+    """(assignments, None) from the scanning reference when every request of
+    sizes fits, else (None, index of the first request it cannot place)."""
+    ref = AllocatorReference()
+    for i, s in enumerate(sizes):
+        try:
+            ref.request(Requirement(s, i))
+        except Exhausted:
+            return None, i
+    return ref.assigned, None
+
+
+def build(sizes):
+    """(assignments, None) from build_computer, else (None, failing index)."""
+    reqs = [Requirement(s, i) for i, s in enumerate(sizes)]
+    try:
+        machine = build_computer(reqs)
+    except BuildFailure as failure:
+        assert failure.requirement is reqs[failure.index]
+        return None, failure.index
+    return machine.assignments, None
+
+
+class TestBuildAgainstReference:
+    def test_seeded_streams(self):
+        rng = random.Random(83)
+        overfull = 0
+        for _ in range(200):
+            # a random floor on the sizes mixes streams that fit with
+            # streams that overfill early or late
+            floor = rng.randrange(0, 5)
+            sizes = [rng.randint(floor, 12) for _ in range(rng.randint(1, 40))]
+            expected = reference_build(sizes)
+            assert build(sizes) == expected, sizes
+            used = Fraction(0)
+            for i, s in enumerate(sizes):
+                used += Fraction(1, 2 ** s)
+                if used > 1:
+                    assert expected == (None, i), sizes
+                    overfull += 1
+                    break
+            else:
+                assert expected[1] is None, sizes
+        assert 60 <= overfull <= 140  # 84 of 200 with this seed
+
+    def test_a_stream_of_total_one_builds(self):
+        assignments, _ = build([1, 2, 3, 3])
+        assert [w for w, _ in assignments] == ["0", "10", "110", "111"]
+        for s in range(13):
+            assert build([1, 2, 3, 3, s]) == (None, 4)
+
+    def test_size_zero_alone_builds(self):
+        assert build([0]) == ([("", 0)], None)
+        assert build([0, 0]) == (None, 1)
+
+    def test_a_one_shot_generator_builds_as_its_list(self):
+        reqs = [Requirement(s, i) for i, s in enumerate([3, 1, 4, 4, 3, 5, 5])]
+        assert build_computer(iter(reqs)).assignments == build_computer(reqs).assignments
+        with pytest.raises(BuildFailure) as info:
+            build_computer(r for r in reqs + [Requirement(1, "x")])
+        assert info.value.index == 7
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_a_deep_requirement_among_seeded_ones(self, first):
+        rng = random.Random(89)
+        sizes = [rng.randint(11, 16) for _ in range(2000)]
+        sizes = [10_000] + sizes if first else sizes + [10_000]
+        assignments, failed = build(sizes)
+        assert failed is None
+        assert assignments == reference_build(sizes)[0]

@@ -15,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import islice, repeat
 from typing import Iterable, Iterator
 
 from .dyadic import Dyadic, mass
@@ -24,6 +25,7 @@ from .interp import (
     OutOfTime,
     SUCCESS,
     Session,
+    applies_as_nil,
     evaluate,
 )
 from .omega import runs
@@ -94,9 +96,11 @@ class ExpressionSpace:
     """The universe a character-level search enumerates.
 
     Numerals of every width that fits are always present (optionally capped
-    in value); other atoms come from a finite alphabet.  Lists are built
-    recursively, so membership is exactly "canonical text of this size over
-    this alphabet".
+    in value); other atoms come from a finite alphabet.  A size holds its
+    atoms, then its lists in blocks, one per first item: the item followed
+    by the items of each list of the remaining size, or alone (see
+    :meth:`blocks`), so membership is exactly "canonical text of this size
+    over this alphabet".
     """
 
     symbols: tuple[str, ...] = DEFAULT_SYMBOLS
@@ -122,20 +126,74 @@ class ExpressionSpace:
         the searches rely on instead of measuring."""
         return _space_of_size(self, size)
 
+    def blocks(self, size: int) -> Iterator[tuple[SExpr | None, int]]:
+        """``of_size(size)`` as consecutive (head, count) blocks, in order:
+        the atoms first, with head None, then each block of *count* lists
+        whose first item is *head*.  A space that reorders ``of_size`` must
+        reorder these to match: the searches walk both together."""
+        yield None, _atom_count(_space_of_size(self, size))
+        for k, tails in _layout(self, size):
+            count = len(tails)
+            for head in _space_of_size(self, k):
+                yield head, count
+
+
+def _atom_count(exprs: tuple) -> int:
+    # a size's atoms come first, then its lists
+    return bisect_left(exprs, True, key=lambda e: type(e) is tuple and e != NIL)
+
+
+def _layout(space: ExpressionSpace, size: int) -> list[tuple[int, tuple]]:
+    """The lists ( items ) of *size* with single blanks, in order, as (k,
+    tails) groups: each expression of k chars in turn heads one list per
+    tail, the tail's items after it.  The tails are the lists of size - k -
+    1 chars, or the empty tail alone when k == size - 2.  The layout is
+    written here once: ``_space_of_size`` builds from it, and
+    :meth:`ExpressionSpace.blocks` reads it."""
+    groups = []
+    for k in range(1, size - 3):
+        rests = _space_of_size(space, size - k - 1)
+        groups.append((k, rests[_atom_count(rests):]))
+    if size >= 3:
+        groups.append((size - 2, ((),)))
+    return groups
+
 
 @lru_cache(maxsize=None)
 def _space_of_size(space: ExpressionSpace, size: int) -> tuple:
-    # atoms, then the lists ( items ) with single blanks: a first item of k
-    # chars, then the items of a cached list of size - k - 1 chars (found
-    # after that size's atoms, which come first), or alone if k == size - 2
     out: list[SExpr] = list(space.atoms_of_size(size))
-    for k in range(1, size - 3):
-        rests = _space_of_size(space, size - k - 1)
-        rests = rests[bisect_left(rests, True, key=lambda e: type(e) is tuple and e != NIL):]
-        out.extend((first,) + rest for first in _space_of_size(space, k) for rest in rests)
-    if size >= 3:
-        out.extend((first,) for first in _space_of_size(space, size - 2))
+    for k, tails in _layout(space, size):
+        out.extend((first,) + tail for first in _space_of_size(space, k) for tail in tails)
     return tuple(out)
+
+
+def _spans(space: ExpressionSpace, size: int, genv: dict,
+           budget: int | None) -> Iterator[tuple[bool, Iterable[SExpr]]]:
+    """``space.of_size(size)`` in order, as (settled, exprs) spans: each
+    block whose head applies as nil over *genv* (see
+    :func:`~sdlisp.interp.applies_as_nil`) is a settled span alone, a
+    tuple, and the blocks between them are one span, to be read once.  A
+    budget under one step settles nothing: the size is then one span."""
+    exprs = space.of_size(size)
+    if budget is not None and budget < 1:
+        yield False, exprs
+        return
+    start = stop = 0
+    for head, count in space.blocks(size):
+        if head is not None and applies_as_nil(head, genv):
+            if start < stop:
+                yield False, _span(exprs, start, stop)
+            start = stop + count
+            yield True, exprs[stop:start]
+        stop += count
+    if start < stop:
+        yield False, _span(exprs, start, stop)
+
+
+def _span(exprs: tuple, start: int, stop: int) -> Iterable[SExpr]:
+    # a leading span, which holds the size's atoms (millions of numerals
+    # when they are not limited), is read in place rather than copied
+    return islice(exprs, stop) if start == 0 else exprs[start:stop]
 
 
 # ---------------------------------------------------------------------------
@@ -144,36 +202,51 @@ def _space_of_size(space: ExpressionSpace, size: int) -> tuple:
 # A character search builds one context with no emit, so ``display`` output
 # is dropped, and one budget, whose ``used`` totals the search: each
 # expression gets *budget* more steps.  A numeral is its own value at no
-# step, so it is taken without a call.
+# step, so it is taken without a call.  A list whose head applies as nil
+# (see :func:`~sdlisp.interp.applies_as_nil`) is nil in one step, so under
+# a budget of at least one step its whole block is settled without a call,
+# and ``used`` advances by one step per list; at budget 0 every list runs.
 
 def lisp_complexity_upper(x: SExpr, char_cap: int, budget: int | None,
                           space: ExpressionSpace | None = None) -> ComplexityRecord:
     """Smallest enumerated expression whose value is *x*.
 
     The witness is exact when no smaller expression ran out of time (depth
-    included); out-of-data is final, since the search gives no data.
+    included); out-of-data is final, since the search gives no data.  A
+    settled block of lists whose head applies as nil (budget at least 1)
+    holds the witness, its first list, when *x* is nil, and is passed over
+    otherwise.
     """
     space = space or ExpressionSpace()
     ctx = Session()._ctx(Budget(budget))
     shared = ctx.budget
     undecided = char_cap + 1  # size of the first expression out of time
     for size in range(1, char_cap + 1):
-        for expr in space.of_size(size):
-            if type(expr) is int:
-                value = expr
-            else:
+        for settled, exprs in _spans(space, size, ctx.genv, budget):
+            if settled:
+                if x == NIL:
+                    return ComplexityRecord(target=x, witness=exprs[0], size=size,
+                                            search_cap=char_cap, budget=budget,
+                                            exact=size <= undecided, unit="chars")
                 if budget is not None:
-                    shared.limit = shared.used + budget
-                try:
-                    value = evaluate(expr, {}, ctx)
-                except OutOfTime:
-                    undecided = min(undecided, size)
-                    continue
-                except OutOfData:
-                    continue
-            if value == x:
-                return ComplexityRecord(target=x, witness=expr, size=size, search_cap=char_cap,
-                                        budget=budget, exact=size <= undecided, unit="chars")
+                    shared.used += len(exprs)
+                continue
+            for expr in exprs:
+                if type(expr) is int:
+                    value = expr
+                else:
+                    if budget is not None:
+                        shared.limit = shared.used + budget
+                    try:
+                        value = evaluate(expr, {}, ctx)
+                    except OutOfTime:
+                        undecided = min(undecided, size)
+                        continue
+                    except OutOfData:
+                        continue
+                if value == x:
+                    return ComplexityRecord(target=x, witness=expr, size=size, search_cap=char_cap,
+                                            budget=budget, exact=size <= undecided, unit="chars")
     raise SearchExhausted(f"no expression of <= {char_cap} chars evaluates to {print_canonical(x)}")
 
 
@@ -199,6 +272,8 @@ def elegant_search(char_cap: int, budget: int | None,
     Enlarging the budget can only reveal more collisions, so non-elegance
     is final; elegance is always relative to the caps.  A numeral is its
     own value and costs no step, so it is listed under any budget, even 0.
+    Under a budget of at least 1, a block of lists whose head applies as
+    nil is listed as nil all at once, in order, with one step per list.
     """
     space = space or ExpressionSpace()
     ctx = Session()._ctx(Budget(budget))
@@ -209,19 +284,27 @@ def elegant_search(char_cap: int, budget: int | None,
     # sizes ascend, so a value's first size is its minimum and appending
     # here keeps the listing's order
     for size in range(1, char_cap + 1):
-        for expr in space.of_size(size):
-            if type(expr) is int:
-                value = expr
-            else:
+        for settled, exprs in _spans(space, size, ctx.genv, budget):
+            if settled:
                 if budget is not None:
-                    shared.limit = shared.used + budget
-                try:
-                    value = evaluate(expr, {}, ctx)
-                except (OutOfTime, OutOfData):
-                    continue
-            listing[expr] = value
-            if min_size.setdefault(value, size) == size:
-                elegant.append((expr, value))
+                    shared.used += len(exprs)
+                listing.update(zip(exprs, repeat(NIL)))
+                if min_size.setdefault(NIL, size) == size:
+                    elegant.extend(zip(exprs, repeat(NIL)))
+                continue
+            for expr in exprs:
+                if type(expr) is int:
+                    value = expr
+                else:
+                    if budget is not None:
+                        shared.limit = shared.used + budget
+                    try:
+                        value = evaluate(expr, {}, ctx)
+                    except (OutOfTime, OutOfData):
+                        continue
+                listing[expr] = value
+                if min_size.setdefault(value, size) == size:
+                    elegant.append((expr, value))
     return ElegantReport(char_cap, budget, listing, min_size, tuple(elegant))
 
 

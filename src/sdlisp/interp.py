@@ -205,6 +205,16 @@ _VALUE_PRIMITIVES = {name: (fn, PRIMITIVE_ARITY[name]) for name, fn in {
 }.items()}
 
 
+def applies_as_nil(head: SExpr, genv: dict[str, SExpr]) -> bool:
+    """Whether every list with this head, run over an empty local frame and
+    the globals *genv*, is nil in one step whatever its arguments: the head
+    is a numeral, nil, or a symbol neither primitive nor bound in *genv*.
+    ``evaluate`` inlines this; it is the rule's written form."""
+    if type(head) is str:
+        return head not in PRIMITIVE_ARITY and head not in genv
+    return type(head) is int or head == NIL
+
+
 def evaluate(e: SExpr, env: dict[str, SExpr], ctx: _Ctx, depth: int = 0) -> SExpr:
     while True:
         if type(e) is int:

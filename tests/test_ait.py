@@ -25,8 +25,16 @@ from sdlisp.ait import (
 )
 from sdlisp.bits import bitstrings_up_to
 from sdlisp.dyadic import Dyadic
-from sdlisp.interp import Budget, OutOfData, OutOfTime, Session
-from sdlisp.sexpr import parse_full, parse_implicit, print_canonical, size_chars, to_bits
+from sdlisp.interp import Budget, OutOfData, OutOfTime, Session, applies_as_nil, evaluate
+from sdlisp.sexpr import (
+    NIL,
+    PRIMITIVE_ARITY,
+    parse_full,
+    parse_implicit,
+    print_canonical,
+    size_chars,
+    to_bits,
+)
 from sdlisp.universal import (
     UNSETTLED,
     ComposedUniversal,
@@ -47,6 +55,7 @@ from oracles import (
     first_witness,
     texts_of_size,
 )
+from test_interp import nil_in_one_step
 from test_omega import _Blind, _seeded_kraft_machine
 
 TOY = ToyDoubling()
@@ -69,10 +78,14 @@ class _Stalling(ToyDoubling):
 
 class _SizesReversed(ExpressionSpace):
     """The default space with each size's order reversed: a size's nested
-    heads, the first expressions to run out of time, come before its sums."""
+    heads, the first expressions to run out of time, come before its sums.
+    Its blocks are reversed to match, as the searches walk both."""
 
     def of_size(self, size):
         return super().of_size(size)[::-1]
+
+    def blocks(self, size):
+        return reversed(list(super().blocks(size)))
 
 
 class TestHUpper:
@@ -193,6 +206,24 @@ class TestLispComplexity:
             assert record.size == len(text)
             assert record.exact == all(size >= len(text) for size in out_of_time)
 
+    @pytest.mark.parametrize("numeral_limit", [9, None])
+    @pytest.mark.parametrize("budget", [0, 1, 64, None])
+    def test_nil_without_a_nil_symbol_is_a_settled_list(self, budget, numeral_limit):
+        # (0) is the first list whose value is nil, and its block is settled
+        # under any budget of a step or more; at budget 0 every list runs
+        space = ExpressionSpace(symbols=("a", "+"), numeral_limit=numeral_limit)
+        text, out_of_time = first_witness(NIL, 5, budget, space.symbols, numeral_limit)
+        if text is None:
+            assert budget == 0
+            with pytest.raises(SearchExhausted):
+                lisp_complexity_upper(NIL, 5, budget, space)
+            return
+        record = lisp_complexity_upper(NIL, 5, budget, space)
+        assert text == "(0)"
+        assert print_canonical(record.witness) == text
+        assert record.size == len(text)
+        assert record.exact == all(size >= len(text) for size in out_of_time)
+
     def test_same_size_out_of_time_keeps_the_witness_exact(self):
         space = _SizesReversed(numeral_limit=9)
         # at budget 2, (((c))) runs out of time before (+ 9 9), both 7 chars
@@ -301,6 +332,42 @@ class TestElegance:
         assert report.elegant == elegant
 
 
+def _steps(expr, budget):
+    """The steps *expr* takes under a fresh budget, whatever its outcome."""
+    spent = Budget(budget)
+    try:
+        evaluate(expr, {}, Session()._ctx(spent))
+    except (OutOfTime, OutOfData):
+        pass
+    return spent.used
+
+
+class TestSearchBudget:
+    """One budget totals a character search: every list costs its own steps,
+    and a settled list costs its one step without a run."""
+
+    @pytest.fixture
+    def budgets(self, monkeypatch):
+        made = []
+
+        class Recorded(Budget):
+            def __init__(self, limit=None):
+                super().__init__(limit)
+                made.append(self)
+
+        monkeypatch.setattr(ait, "Budget", Recorded)
+        return made
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 64])
+    def test_used_totals_every_expressions_steps(self, budgets, budget):
+        space = ExpressionSpace(numeral_limit=9)
+        expected = sum(_steps(e, budget) for size in range(1, 8) for e in space.of_size(size))
+        elegant_search(7, budget, space)
+        with pytest.raises(SearchExhausted):
+            lisp_complexity_upper("zz", 7, budget, space)
+        assert [b.used for b in budgets] == [expected, expected]
+
+
 class TestExpressionSpace:
     @pytest.mark.parametrize("space, cap", [
         (ExpressionSpace(numeral_limit=99), 5),
@@ -323,6 +390,60 @@ class TestExpressionSpace:
         for size in range(1, cap + 1):
             texts = texts_of_size(size, space.symbols, space.numeral_limit)
             assert space.of_size(size) == tuple(map(parse_full, texts))
+
+    @pytest.mark.parametrize("space, cap", [
+        (ExpressionSpace(), 5),
+        (ExpressionSpace(numeral_limit=9), 10),
+        (ExpressionSpace(symbols=("nil", "ab", "x", "+"), numeral_limit=3), 11),
+    ])
+    def test_blocks_concatenate_to_of_size(self, space, cap):
+        for size in range(1, cap + 1):
+            exprs = space.of_size(size)
+            blocks = list(space.blocks(size))
+            assert blocks[0][0] is None
+            heads = [head for head, _ in blocks[1:]]
+            assert len(set(heads)) == len(heads)
+            start = 0
+            for head, count in blocks:
+                block = exprs[start:start + count]
+                start += count
+                assert len(block) == count
+                if head is None:
+                    assert not any(type(e) is tuple and e != NIL for e in block)
+                else:
+                    assert count and [e[0] for e in block] == [head] * count
+            assert start == len(exprs)
+
+    def test_every_block_of_the_eight_char_space_is_settled_by_the_rule(self):
+        # where a head applies as nil, its block's first list is nil in one
+        # step, and where a compound head does not, that list is not.  A
+        # primitive head gives nil in one step on some arguments, (car) for
+        # one, so test_interp checks each primitive on a list where it does not.
+        space = ExpressionSpace(numeral_limit=9)
+        session = Session()
+        settled = 0
+        for size in range(1, 9):
+            exprs = space.of_size(size)
+            start = 0
+            for head, count in space.blocks(size):
+                if head is not None and applies_as_nil(head, session.genv):
+                    settled += 1
+                    assert nil_in_one_step(exprs[start], session)
+                elif head is not None and head not in PRIMITIVE_ARITY:
+                    assert not nil_in_one_step(exprs[start], session)
+                start += count
+        assert settled
+
+    def test_a_head_bound_in_the_globals_is_not_settled(self):
+        space = ExpressionSpace(numeral_limit=9)
+
+        def settled_heads(genv):
+            return {e[0] for settled, exprs in ait._spans(space, 5, genv, None)
+                    if settled for e in exprs}
+
+        assert "a" in settled_heads({})
+        assert "a" not in settled_heads({"a": ("lambda", (), 5)})
+        assert settled_heads({"a": ("lambda", (), 5)}) == settled_heads({}) - {"a"}
 
     def test_repeated_symbols_enumerate_once(self):
         once = ExpressionSpace(symbols=("a",), numeral_limit=0)

@@ -6,11 +6,13 @@ from sdlisp import interp
 from sdlisp.interp import (
     Budget,
     Closure,
+    OutOfData,
     OutOfTime,
     Session,
+    applies_as_nil,
     run_source,
 )
-from sdlisp.sexpr import parse_full, parse_implicit, to_bits
+from sdlisp.sexpr import PRIMITIVE_ARITY, QUOTE, parse_full, parse_implicit, to_bits
 
 FACTORIAL = "define (f n)\nif = n 0  1\n   * n (f - n 1)"
 
@@ -275,6 +277,61 @@ class TestAtomCalls:
         assert session.evaluate(expr) == value
         assert len(calls) == count
         assert all(isinstance(e, tuple) and e for e in calls)
+
+
+def nil_in_one_step(expr, session=None) -> bool:
+    """Whether *expr*, run over an empty local frame, is nil in exactly one
+    step: nil under ``Budget(1)`` with ``used == 1``, and out of time under
+    ``Budget(0)``."""
+    session = session or Session()
+    budget = Budget(1)
+    try:
+        value = interp.evaluate(expr, {}, session._ctx(budget))
+    except (OutOfTime, OutOfData):
+        return False
+    if value != () or budget.used != 1:
+        return False
+    try:
+        interp.evaluate(expr, {}, session._ctx(Budget(0)))
+    except OutOfTime:
+        return True
+    return False
+
+
+class TestAppliesAsNil:
+    """The rule the character searches settle whole blocks of lists by: a
+    list whose head applies as nil is nil in one step, whatever follows."""
+
+    ARGUMENTS = [(), (1,), ("x",), (("+", 1, 2),), (("read-exp",), ("car", "x"), 7),
+                 ((QUOTE, (1,)), ("lambda", ("x",), "x"))]
+
+    @pytest.mark.parametrize("head", [0, 7, 123, (), "zebra", "true", "false", "a"])
+    def test_a_settled_head_gives_nil_in_one_step_whatever_the_arguments(self, head):
+        session = Session()
+        assert applies_as_nil(head, session.genv)
+        for args in self.ARGUMENTS:
+            assert nil_in_one_step((head, *args), session)
+
+    @pytest.mark.parametrize("name", sorted(PRIMITIVE_ARITY))
+    def test_a_primitive_head_is_not_settled(self, name):
+        assert not applies_as_nil(name, {})
+        # some lists with a primitive head are nil in one step, (car) for
+        # one, but not every list: this one is not, for any primitive
+        assert not nil_in_one_step((name, (QUOTE, (1,)), "a", 1))
+
+    @pytest.mark.parametrize("head", [(0,), (QUOTE, "a"), ("lambda", (), 5), ((),)])
+    def test_a_compound_head_is_not_settled(self, head):
+        assert not applies_as_nil(head, {})
+        assert not nil_in_one_step((head, 1))
+
+    def test_a_symbol_bound_in_the_session_is_not_settled(self):
+        session = Session()
+        session.run_source("define (f) 5\ndefine g 5")
+        assert not applies_as_nil("f", session.genv)
+        assert not applies_as_nil("g", session.genv)
+        assert applies_as_nil("h", session.genv)
+        assert session.evaluate(("f", 1)) == 5
+        assert applies_as_nil("f", Session().genv)
 
 
 class TestTry:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator
 
 from .dyadic import Dyadic, mass
@@ -99,7 +99,7 @@ class ExpressionSpace:
     in value); other atoms come from a finite alphabet.  A size holds its
     atoms, then its lists in blocks, one per first item: the item followed
     by the items of each list of the remaining size, or alone (see
-    :meth:`blocks`), so membership is exactly "canonical text of this size
+    :func:`_layout`), so membership is exactly "canonical text of this size
     over this alphabet".
     """
 
@@ -122,20 +122,11 @@ class ExpressionSpace:
 
     def of_size(self, size: int) -> tuple:
         """Every canonical expression of the space that prints in exactly
-        *size* characters: ``size_chars(expr) == size`` for each one, which
-        the searches rely on instead of measuring."""
+        *size* characters, in order: ``size_chars(expr) == size`` for each
+        one, which the searches rely on instead of measuring.  The tuple is
+        cached; the searches stream their sizes and cache only those that
+        longer lists are built from."""
         return _space_of_size(self, size)
-
-    def blocks(self, size: int) -> Iterator[tuple[SExpr | None, int]]:
-        """``of_size(size)`` as consecutive (head, count) blocks, in order:
-        the atoms first, with head None, then each block of *count* lists
-        whose first item is *head*.  A space that reorders ``of_size`` must
-        reorder these to match: the searches walk both together."""
-        yield None, _atom_count(_space_of_size(self, size))
-        for k, tails in _layout(self, size):
-            count = len(tails)
-            for head in _space_of_size(self, k):
-                yield head, count
 
 
 def _atom_count(exprs: tuple) -> int:
@@ -147,9 +138,10 @@ def _layout(space: ExpressionSpace, size: int) -> list[tuple[int, tuple]]:
     """The lists ( items ) of *size* with single blanks, in order, as (k,
     tails) groups: each expression of k chars in turn heads one list per
     tail, the tail's items after it.  The tails are the lists of size - k -
-    1 chars, or the empty tail alone when k == size - 2.  The layout is
-    written here once: ``_space_of_size`` builds from it, and
-    :meth:`ExpressionSpace.blocks` reads it."""
+    1 chars, or the empty tail alone when k == size - 2.  Every part is at
+    most size - 2 chars, so a size is built from cached smaller sizes.
+    This is the one description of the order: :func:`_spans` walks it, and
+    ``_space_of_size`` builds from that walk."""
     groups = []
     for k in range(1, size - 3):
         rests = _space_of_size(space, size - k - 1)
@@ -161,39 +153,26 @@ def _layout(space: ExpressionSpace, size: int) -> list[tuple[int, tuple]]:
 
 @lru_cache(maxsize=None)
 def _space_of_size(space: ExpressionSpace, size: int) -> tuple:
-    out: list[SExpr] = list(space.atoms_of_size(size))
-    for k, tails in _layout(space, size):
-        out.extend((first,) + tail for first in _space_of_size(space, k) for tail in tails)
-    return tuple(out)
+    # a budget under one step settles nothing, so the spans are the order
+    return tuple(chain.from_iterable(exprs for _, exprs in _spans(space, size, {}, 0)))
 
 
 def _spans(space: ExpressionSpace, size: int, genv: dict,
            budget: int | None) -> Iterator[tuple[bool, Iterable[SExpr]]]:
-    """``space.of_size(size)`` in order, as (settled, exprs) spans: each
-    block whose head applies as nil over *genv* (see
-    :func:`~sdlisp.interp.applies_as_nil`) is a settled span alone, a
-    tuple, and the blocks between them are one span, to be read once.  A
-    budget under one step settles nothing: the size is then one span."""
-    exprs = space.of_size(size)
-    if budget is not None and budget < 1:
-        yield False, exprs
-        return
-    start = stop = 0
-    for head, count in space.blocks(size):
-        if head is not None and applies_as_nil(head, genv):
-            if start < stop:
-                yield False, _span(exprs, start, stop)
-            start = stop + count
-            yield True, exprs[stop:start]
-        stop += count
-    if start < stop:
-        yield False, _span(exprs, start, stop)
-
-
-def _span(exprs: tuple, start: int, stop: int) -> Iterable[SExpr]:
-    # a leading span, which holds the size's atoms (millions of numerals
-    # when they are not limited), is read in place rather than copied
-    return islice(exprs, stop) if start == 0 else exprs[start:stop]
+    """The expressions of *size* in order, streamed as (settled, exprs)
+    spans: the atoms, then one block per head of :func:`_layout`, built
+    from cached smaller sizes.  A block whose head applies as nil over
+    *genv* (see :func:`~sdlisp.interp.applies_as_nil`) is settled, a tuple,
+    when the budget allows a step; every other span is to be read once."""
+    settles = budget is None or budget >= 1
+    yield False, space.atoms_of_size(size)
+    for k, tails in _layout(space, size):
+        for head in _space_of_size(space, k):
+            block = map((head,).__add__, tails)
+            if settles and applies_as_nil(head, genv):
+                yield True, tuple(block)
+            else:
+                yield False, block
 
 
 # ---------------------------------------------------------------------------

@@ -76,16 +76,16 @@ class _Stalling(ToyDoubling):
             yield p, UNSETTLED if p == self.stalled else value
 
 
-class _SizesReversed(ExpressionSpace):
-    """The default space with each size's order reversed: a size's nested
-    heads, the first expressions to run out of time, come before its sums.
-    Its blocks are reversed to match, as the searches walk both."""
-
-    def of_size(self, size):
-        return super().of_size(size)[::-1]
-
-    def blocks(self, size):
-        return reversed(list(super().blocks(size)))
+@pytest.fixture
+def reversed_layout(monkeypatch):
+    """Each size's list groups in reverse: a size's nested heads, the first
+    expressions to run out of time, come before its sums.  The cached sizes
+    are built from the layout, so the cache is cleared around the test."""
+    layout = ait._layout
+    monkeypatch.setattr(ait, "_layout", lambda space, size: layout(space, size)[::-1])
+    ait._space_of_size.cache_clear()
+    yield
+    ait._space_of_size.cache_clear()
 
 
 class TestHUpper:
@@ -224,14 +224,14 @@ class TestLispComplexity:
         assert record.size == len(text)
         assert record.exact == all(size >= len(text) for size in out_of_time)
 
-    def test_same_size_out_of_time_keeps_the_witness_exact(self):
-        space = _SizesReversed(numeral_limit=9)
-        # at budget 2, (((c))) runs out of time before (+ 9 9), both 7 chars
+    def test_same_size_out_of_time_keeps_the_witness_exact(self, reversed_layout):
+        space = ExpressionSpace(numeral_limit=9)
+        # at budget 2, (((0))) runs out of time before (* 2 9), both 7 chars
         record = lisp_complexity_upper(18, 7, 2, space)
-        assert print_canonical(record.witness) == "(+ 9 9)" and record.exact
-        # at budget 1, ((c)) runs out of time first, at 5 chars
+        assert print_canonical(record.witness) == "(* 2 9)" and record.exact
+        # at budget 1, ((0)) runs out of time first, at 5 chars
         record = lisp_complexity_upper(18, 7, 1, space)
-        assert print_canonical(record.witness) == "(+ 9 9)" and not record.exact
+        assert print_canonical(record.witness) == "(* 2 9)" and not record.exact
 
 
 def _elegance_by_reference(char_cap, budget, space):
@@ -397,22 +397,23 @@ class TestExpressionSpace:
         (ExpressionSpace(symbols=("nil", "ab", "x", "+"), numeral_limit=3), 11),
     ])
     def test_blocks_concatenate_to_of_size(self, space, cap):
-        for size in range(1, cap + 1):
-            exprs = space.of_size(size)
-            blocks = list(space.blocks(size))
-            assert blocks[0][0] is None
-            heads = [head for head, _ in blocks[1:]]
-            assert len(set(heads)) == len(heads)
-            start = 0
-            for head, count in blocks:
-                block = exprs[start:start + count]
-                start += count
-                assert len(block) == count
-                if head is None:
-                    assert not any(type(e) is tuple and e != NIL for e in block)
-                else:
-                    assert count and [e[0] for e in block] == [head] * count
-            assert start == len(exprs)
+        # the spans the searches walk are of_size in order, the atoms first;
+        # a settled one is a block of lists whose one head applies as nil,
+        # and needs a step
+        genv = Session().genv
+        for budget in (None, 0, 64):
+            for size in range(1, cap + 1):
+                spans = [(settled, exprs if settled else tuple(exprs))
+                         for settled, exprs in ait._spans(space, size, genv, budget)]
+                assert tuple(e for _, exprs in spans for e in exprs) == space.of_size(size)
+                assert not any(type(e) is tuple and e != NIL for e in spans[0][1])
+                for settled, exprs in spans:
+                    if not settled:
+                        continue
+                    assert budget != 0 and type(exprs) is tuple
+                    head = exprs[0][0]
+                    assert all(type(e) is tuple and e != NIL and e[0] == head for e in exprs)
+                    assert applies_as_nil(head, genv)
 
     def test_every_block_of_the_eight_char_space_is_settled_by_the_rule(self):
         # where a head applies as nil, its block's first list is nil in one
@@ -423,16 +424,29 @@ class TestExpressionSpace:
         session = Session()
         settled = 0
         for size in range(1, 9):
-            exprs = space.of_size(size)
-            start = 0
-            for head, count in space.blocks(size):
-                if head is not None and applies_as_nil(head, session.genv):
+            # the first span holds the size's atoms, each later one a block
+            spans = list(ait._spans(space, size, session.genv, None))[1:]
+            for is_settled, exprs in spans:
+                first = next(iter(exprs))
+                if is_settled:
                     settled += 1
-                    assert nil_in_one_step(exprs[start], session)
-                elif head is not None and head not in PRIMITIVE_ARITY:
-                    assert not nil_in_one_step(exprs[start], session)
-                start += count
+                    assert nil_in_one_step(first, session)
+                elif first[0] not in PRIMITIVE_ARITY:
+                    assert not nil_in_one_step(first, session)
         assert settled
+
+    @pytest.mark.parametrize("cap", [4, 6, 8, 10])
+    def test_a_search_caches_only_the_sizes_it_builds_from(self, cap):
+        # a list of size s is built from sizes <= s - 2, so a search to cap
+        # c streams sizes c - 1 and c
+        space = ExpressionSpace(numeral_limit=9)
+        ait._space_of_size.cache_clear()
+        elegant_search(cap, 128, space)
+        assert ait._space_of_size.cache_info().currsize == cap - 2
+        ait._space_of_size.cache_clear()
+        with pytest.raises(SearchExhausted):
+            lisp_complexity_upper("zz", cap, 64, space)
+        assert ait._space_of_size.cache_info().currsize == cap - 2
 
     def test_a_head_bound_in_the_globals_is_not_settled(self):
         space = ExpressionSpace(numeral_limit=9)

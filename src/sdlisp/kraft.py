@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import groupby
 from operator import attrgetter
 
 from .bits import check_bits
@@ -118,11 +119,14 @@ class KraftMachine:
         return invalid(PARSE_ERROR)
 
     def roots(self, max_len: int, budget: int | None = None):
-        """Every codeword up to max_len with its output, settled: the
-        stable sort by length keeps each length in bit order."""
+        """Every codeword up to max_len with its output, settled, one span
+        per length: the stable sort by length keeps each length in bit
+        order."""
         words = sorted(self.codewords, key=len)
         del words[bisect_right(words, max_len, key=len):]
-        return zip(words, map(self.outputs.__getitem__, words))
+        for _, span in groupby(words, len):
+            span = list(span)
+            yield span, map(self.outputs.__getitem__, span)
 
 
 @dataclass(frozen=True)

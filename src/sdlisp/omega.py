@@ -11,11 +11,14 @@ All arithmetic is exact dyadic; no bit of an estimate is ever rounded.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import groupby, islice, repeat
+from operator import lt
 
 from .bits import bitstrings_up_to
-from .dyadic import Dyadic, mass
-from .universal import HALTED, OUT_OF_DATA, STILL_RUNNING, UNSETTLED, halted
+from .dyadic import Dyadic, mass, sum_dyadic
+from .universal import HALTED, OUT_OF_DATA, STILL_RUNNING, halted
 
 HALTS = "halts"
 NEVER_HALTS = "never-halts"
@@ -33,9 +36,6 @@ class OmegaEstimate:
     halted: tuple[str, ...]
 
 
-_END = (None, None)
-
-
 def runs(machine, max_len: int, budget: int | None):
     """Runs of the programs of <= max_len bits that may halt, as
     (program, result) pairs in (length, lexicographic) order.
@@ -47,50 +47,106 @@ def runs(machine, max_len: int, budget: int | None):
     of data means the run needed bits past the end, and every other outcome
     is final for every extension.  The extensions of one length come in
     order because their parents ran in order, so nothing is sorted or kept
-    beyond one length's extensions.  A settled root halts with its value
-    without a run; a root equal to the program before it is skipped, and
-    one before it raises ValueError.  It is a loop, not a recursion, so
-    every run starts at the same host stack depth.
+    beyond one length's extensions.
+
+    Roots come in spans of one length, each checked in bulk: its programs
+    must be of one length and strictly increasing, and its first must come
+    after the root before it; one equal to that root is skipped, and one
+    before it raises ValueError.  A settled span with no extension inside
+    its range is taken whole: its programs halt with its values, without a
+    run.  Otherwise the extensions cut it, and a root equal to an extension
+    takes its place.  It is a loop, not a recursion, so every run starts at
+    the same host stack depth.
     """
-    roots = machine.roots(max_len, budget) if hasattr(machine, "roots") else iter((("", UNSETTLED),))
+    for p, outcome in _walk(machine, max_len, budget):
+        if type(p) is str:
+            yield p, outcome
+        else:
+            yield from zip(p, map(halted, outcome, repeat(len(p[0]))))
+
+
+_END = (None, ())
+
+
+def _walk(machine, max_len: int, budget: int | None):
+    """The walk of :func:`runs`, in its order: (program, result) for each
+    program run, and (programs, values) for each settled piece of a span,
+    taken without a run."""
     run = machine.run
-    root, value = next(roots, _END)
+    lengths = groupby(_spans(machine, max_len, budget), lambda span: len(span[0][0]))
+    length, spans = next(lengths, _END)
     grown: list[str] = []  # this length's extensions, in order
     for n in range(max_len + 1):
         children: list[str] = []
-        i, m = 0, len(grown)
-        while True:
-            if root is not None and len(root) == n and (i == m or root <= grown[i]):
-                p, settled = root, value
-                if i < m and grown[i] == p:
-                    i += 1
-                root, value = next(roots, _END)
-                if root is not None and (len(root) < n or len(root) == n and root <= p):
-                    root, value = _after(machine, roots, p, root, value)
-            elif i < m:
-                p, settled = grown[i], UNSETTLED
-                i += 1
-            else:
-                break
-            if settled is UNSETTLED:
+        for programs, values in _segments(spans, grown) if length == n else ((grown, None),):
+            if values is not None:
+                yield programs, values
+                continue
+            for p in programs:
                 result = run(p, budget)
                 if n < max_len and result.reason == OUT_OF_DATA:
                     children += (p + "0", p + "1")
-            else:
-                result = halted(settled, n)
-            yield p, result
+                yield p, result
+        if length == n:
+            length, spans = next(lengths, _END)
         grown = children
 
 
-def _after(machine, roots, previous: str, root: str, value):
-    """The first of *root* and the roots after it that comes after
-    *previous*, skipping equal ones; _END at the end."""
-    while root is not None and (len(root), root) <= (len(previous), previous):
-        if root != previous:
-            raise ValueError(f"{type(machine).__name__} yields root {root!r} after {previous!r}: "
-                             "roots must come in (length, lexicographic) order")
-        root, value = next(roots, _END)
-    return root, value
+def _spans(machine, max_len: int, budget: int | None):
+    """The machine's spans, checked in bulk and in order; a first root
+    equal to the last root before it is dropped."""
+    if not hasattr(machine, "roots"):
+        yield [""], None
+        return
+    name = type(machine).__name__
+    previous = None
+    for programs, values in machine.roots(max_len, budget):
+        n = len(programs[0])
+        if not (list(map(len, programs)).count(n) == len(programs)
+                and all(map(lt, programs, islice(programs, 1, None)))):
+            raise ValueError(f"{name} yields a span from {programs[0]!r} whose roots are not "
+                             "of one length in strictly increasing order")
+        if previous is not None and (n, programs[0]) <= (len(previous), previous):
+            if programs[0] != previous:
+                raise ValueError(f"{name} yields root {programs[0]!r} after {previous!r}: "
+                                 "roots must come in (length, lexicographic) order")
+            programs = programs[1:]
+            if values is not None:
+                values = islice(values, 1, None)
+            if not programs:
+                continue
+        previous = programs[-1]
+        yield programs, values
+
+
+def _segments(spans, grown: list[str]):
+    """One length's spans merged with its extensions *grown*, as segments
+    in order: (programs, None) to run and (programs, values) settled."""
+    i = 0
+    for programs, values in spans:
+        j = bisect_left(grown, programs[0], i)
+        k = bisect_right(grown, programs[-1], j)
+        if i < j:
+            yield grown[i:j], None
+        if j == k:
+            yield programs, values
+        else:
+            # cut the span at each extension inside it; one equal to a root
+            # is that root
+            if values is not None:
+                values = list(values)
+            lo = 0
+            for extension in islice(grown, j, k):
+                r = bisect_left(programs, extension, lo)
+                if lo < r:
+                    yield programs[lo:r], None if values is None else values[lo:r]
+                if programs[r] != extension:
+                    yield [extension], None
+                lo = r
+            yield programs[lo:], None if values is None else values[lo:]
+        i = k
+    if i < len(grown):
+        yield grown[i:], None
 
 
 def omega_lower_bound(machine, max_len: int, budget: int | None) -> OmegaEstimate:
@@ -98,10 +154,28 @@ def omega_lower_bound(machine, max_len: int, budget: int | None) -> OmegaEstimat
 
     A pure function of (machine, max_len, budget).  Runs are streamed in
     order, so memory holds the roots, the walk's frontier and the halting
-    set, not the space.
+    set, not the space.  It folds the walk of :func:`runs`, and a settled
+    span joins the halting set whole, with no result built.
     """
-    halted = tuple(p for p, result in runs(machine, max_len, budget) if result.status == HALTED)
-    return OmegaEstimate(mass(map(len, halted)), max_len, budget, halted)
+    halted: list[str] = []
+    for p, outcome in _walk(machine, max_len, budget):
+        if type(p) is not str:
+            halted += p
+        elif outcome.status == HALTED:
+            halted.append(p)
+    return OmegaEstimate(_mass_in_order(halted), max_len, budget, tuple(halted))
+
+
+def _mass_in_order(programs: list[str]) -> Dyadic:
+    """mass(map(len, programs)) for programs in nondecreasing length, as
+    the walk yields them: one bisect per length, not a count per program."""
+    counts, i = [], 0
+    while i < len(programs):
+        n = len(programs[i])
+        j = bisect_right(programs, n, i, key=len)
+        counts.append(Dyadic(j - i, n))
+        i = j
+    return sum_dyadic(counts)
 
 
 def solve_halting_by_count(programs, count: int, machine, max_rounds: int = 64) -> list[str]:

@@ -15,23 +15,28 @@ larger budget too, so a walk in which nothing below k bits ended still
 running has decided every program shorter than k (ait.H_upper).
 
 A machine may also enumerate the roots of those searches:
-``roots(max_len, budget)`` yields ``(program, value)`` pairs of at most
-max_len bits, strictly in (length, lexicographic) order, such that every
-halting program starts with one of them.  The value is UNSETTLED when only
-a run can tell the root's outcome.  Any other value is a promise that the
-root halts under *budget* with that value and consumes every bit, so the
-search takes it without a run.  The decidable machines settle every root
-and ignore the budget; LispU leaves every root to its run, whose shortcut
-settles a single atom without a session.
+``roots(max_len, budget)`` yields spans ``(programs, values)``, lazily and
+length by length, such that every halting program starts with one of their
+programs.  ``programs`` is a non-empty sequence of programs of one length,
+at most max_len bits, in strictly increasing order, and each span comes
+after the one before it in (length, lexicographic) order.  ``values`` is
+None when only a run can tell the programs' outcomes.  Otherwise it
+iterates one value per program: a promise that the program halts under
+*budget* with that value and consumes every bit, so the search takes the
+span without a run.  The decidable
+machines settle every span and ignore the budget; LispU leaves every span
+to its runs, whose shortcut settles a single atom without a session.
 
-A search builds one :class:`RunResult` per program, so it is a NamedTuple, and
-the non-halting results are shared instances built once.
+A search builds one :class:`RunResult` per program it runs (omega.runs one
+per settled program too), so it is a NamedTuple, and the non-halting
+results are shared instances built once.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, product
+from itertools import groupby, product
+from operator import itemgetter
 from typing import NamedTuple
 
 from .bits import BitStream, OutOfData, bit_values, check_bits, read_doubled
@@ -87,10 +92,6 @@ def still_running() -> RunResult:
 def invalid(reason: str) -> RunResult:
     """The shared result for out-of-data, parse-error or partial-consumption."""
     return _INVALID[reason]
-
-
-# The value of a root that only a run can settle.
-UNSETTLED = object()
 
 
 @lru_cache(maxsize=8)
@@ -166,20 +167,22 @@ class LispU:
 
     def roots(self, max_len: int, budget: int | None = None):
         """The bits of every parseable text and its newline, up to max_len,
-        each left to a run: run's shortcut settles a single atom without a
-        session, and the rule for it stays in that one place.
+        one span per length and first character, each left to its runs:
+        run's shortcut settles a single atom without a session, and the
+        rule for it stays in that one place.
 
         Every halting program starts with one of them and continues with
         data, which omega.runs grows only while the run ends out of data.
         Texts come in code order, which is the bits' order.  The count is
-        exponential in max_len/8, so keep max_len small.
+        exponential in max_len/8, so keep max_len small; a span per first
+        character keeps a length's bits from being listed at once.
         """
         # text_bits of each printable character: str.translate spells a
         # text this short faster than text_bits does
         code_bits = {c: format(c, "08b") for c in range(32, 127)}
         for nchars in range(1, max_len // 8):
-            for text in _parseable_texts(nchars):
-                yield text.translate(code_bits) + NEWLINE_BITS, UNSETTLED
+            for _, texts in groupby(_parseable_texts(nchars), itemgetter(0)):
+                yield [text.translate(code_bits) + NEWLINE_BITS for text in texts], None
 
 
 def run_U(program: str, budget: int | None = None) -> RunResult:
@@ -238,20 +241,11 @@ class ToyDoubling:
         return halted(self._output(bits), end)
 
     def roots(self, max_len: int, budget: int | None = None):
-        """Every codeword of the domain up to max_len, settled.  Each
-        length's words and values stream in the same (bit) order."""
-        return chain.from_iterable(zip(_codewords(n), self._values(n)) for n in range(max_len // 2))
-
-    def omega_partial(self, max_len: int) -> Dyadic:
-        """Analytic mass of the domain restricted to lengths <= max_len.
-
-        Codewords of 2n+2 bits come 2^n to a string length, so the partial
-        sum over n <= m is 1/2 - 2^-(m+2).
-        """
-        if max_len < 2:
-            return Dyadic.zero()
-        m = (max_len - 2) // 2
-        return Dyadic(1, 1) - Dyadic(1, m + 2)
+        """Every codeword of the domain up to max_len, settled, one span per
+        length: its words and its lazy values come in the same (bit)
+        order."""
+        for n in range(max_len // 2):
+            yield list(_codewords(n)), self._values(n)
 
 
 class ToyNumeral(ToyDoubling):
@@ -288,17 +282,19 @@ class ToyPair:
         return halted(tuple(parts), end)
 
     def roots(self, max_len: int, budget: int | None = None):
-        """Every pair of codewords up to max_len, settled.  The pairs of one
-        length interleave in bit order, so each length is sorted."""
+        """Every pair of codewords up to max_len, settled, one span per
+        length.  The pairs of one length interleave in bit order, so each
+        length is sorted."""
         words = [list(zip(_codewords(k), ToyDoubling._values(k))) for k in range(max_len // 2 - 1)]
         for n in range(4, max_len + 1, 2):
-            yield from sorted((x + y, (u, v)) for a in range(n // 2 - 1)
-                              for (x, u), (y, v) in product(words[a], words[n // 2 - 2 - a]))
+            pairs = sorted((x + y, (u, v)) for a in range(n // 2 - 1)
+                           for (x, u), (y, v) in product(words[a], words[n // 2 - 2 - a]))
+            yield [p for p, _ in pairs], [value for _, value in pairs]
 
 
-def _behind(head: str, roots):
-    for q, value in roots:
-        yield head + q, value
+def _behind(head: str, spans):
+    for programs, values in spans:
+        yield list(map(head.__add__, programs)), values
 
 
 class ComposedUniversal:
@@ -337,9 +333,10 @@ class ComposedUniversal:
         return result
 
     def roots(self, max_len: int, budget: int | None = None):
-        """The components' roots behind their selectors, merged in order;
-        a component without roots gives its bare selector, which omega.runs
-        grows."""
+        """The components' spans behind their selectors, merged by first
+        program: the selectors are prefix-free, so spans of one length
+        never interleave.  A component without roots gives its bare
+        selector, which omega.runs grows."""
         # imported here: only compositions merge, and at module level heapq
         # costs every process that imports the package about 0.1 MB
         from heapq import merge
@@ -350,5 +347,5 @@ class ComposedUniversal:
             if hasattr(machine, "roots"):
                 streams.append(_behind(head, machine.roots(max_len - k - 1, budget)))
             else:
-                streams.append(iter(((head, UNSETTLED),)))
-        return merge(*streams, key=lambda root: (len(root[0]), root[0]))
+                streams.append(iter((([head], None),)))
+        return merge(*streams, key=lambda span: (len(span[0][0]), span[0][0]))

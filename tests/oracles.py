@@ -18,8 +18,8 @@ doubling decoder compares pair by pair where the package's compares
 windows of pairs as two numerals, the reference allocator scans its free
 depths where the package's reads them off a bitmask, and the reference
 walk runs every root it is given and sorts them into buckets by length
-where the package's takes settled roots without a run and merges the
-machine's ordered roots with the extensions it grows.
+where the package's takes settled spans of roots without a run and merges
+the machine's ordered spans with the extensions it grows.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 from sdlisp.ait import BerryOutcome, _theorem_expression, build_searcher, run_theory
 from sdlisp.bits import BitStream, bits_to_sexpr, bitstrings_up_to
@@ -83,6 +84,27 @@ def toy_domain_up_to(max_len: int) -> list[str]:
     return [p for p in bitstrings_up_to(max_len) if is_doubling_codeword(p)]
 
 
+def toy_omega_partial(max_len: int) -> Fraction:
+    """The toy machine's mass over programs of <= max_len bits, in closed
+    form: codewords of 2n+2 bits come 2^n to a string length, so the
+    partial sum over n <= m is 1/2 - 2^-(m+2)."""
+    if max_len < 2:
+        return Fraction(0)
+    m = (max_len - 2) // 2
+    return Fraction(1, 2) - Fraction(1, 2 ** (m + 2))
+
+
+# The value root_pairs gives a root that only a run can settle.
+UNSETTLED = object()
+
+
+def root_pairs(machine, max_len: int, budget=None):
+    """machine.roots flattened lazily into (program, value) pairs, in the
+    machine's order; a root of a span left to its runs gets UNSETTLED."""
+    for programs, values in machine.roots(max_len, budget):
+        yield from zip(programs, repeat(UNSETTLED) if values is None else values)
+
+
 def omega_by_enumeration(machine, max_len: int, budget) -> Fraction:
     """Blind sum over every bit string up to the cap."""
     total = Fraction(0)
@@ -106,7 +128,7 @@ def runs_reference(machine, max_len: int, budget):
     programs of machine.roots (or the empty program) are bucketed by length,
     each bucket is sorted, and a run that ends out of data puts both
     one-bit extensions in the next bucket."""
-    roots = [p for p, _ in machine.roots(max_len, budget)] if hasattr(machine, "roots") else [""]
+    roots = [p for p, _ in root_pairs(machine, max_len, budget)] if hasattr(machine, "roots") else [""]
     buckets = defaultdict(set)
     for p in roots:
         if len(p) <= max_len:

@@ -36,7 +36,6 @@ from sdlisp.sexpr import (
     to_bits,
 )
 from sdlisp.universal import (
-    UNSETTLED,
     ComposedUniversal,
     LispU,
     ToyDoubling,
@@ -53,6 +52,7 @@ from oracles import (
     brute_force_elegance,
     evaluate_reference,
     first_witness,
+    root_pairs,
     texts_of_size,
 )
 from test_interp import nil_in_one_step
@@ -72,8 +72,10 @@ class _Stalling(ToyDoubling):
         return still_running() if program == self.stalled else super().run(program, budget)
 
     def roots(self, max_len, budget=None):
-        for p, value in super().roots(max_len, budget):
-            yield p, UNSETTLED if p == self.stalled else value
+        # one span per root, so the stalled one is left to its run alone
+        for programs, values in super().roots(max_len, budget):
+            for p, value in zip(programs, values):
+                yield [p], None if p == self.stalled else [value]
 
 
 @pytest.fixture
@@ -145,7 +147,7 @@ class TestHUpper:
     def test_counting_bound_on_toy(self):
         # fewer than 2^k strings have a program shorter than k bits
         outputs = {}
-        for p, _ in TOY.roots(12):
+        for p, _ in root_pairs(TOY, 12):
             result = TOY.run(p)
             outputs.setdefault(result.value, len(p))
         for k in range(0, 13):

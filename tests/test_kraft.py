@@ -15,7 +15,7 @@ from sdlisp.kraft import (
     build_computer,
 )
 
-from oracles import AllocatorReference, dyadic_as_fraction, first_fit_by_definition
+from oracles import AllocatorReference, dyadic_as_fraction, first_fit_by_definition, root_pairs
 
 
 def take(allocator, sizes):
@@ -214,7 +214,7 @@ class TestBuildComputer:
     def test_empty_stream_gives_empty_domain(self):
         machine = build_computer([])
         assert not machine.run("").halted
-        assert list(machine.roots(8)) == []
+        assert list(root_pairs(machine, 8)) == []
 
     def test_failure_reports_index(self):
         reqs = [Requirement(1, "a"), Requirement(1, "b"), Requirement(1, "c")]

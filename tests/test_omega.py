@@ -1,5 +1,6 @@
 """Halting-probability estimates, the count trick, and the oracle."""
 
+import heapq
 import random
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ from sdlisp.omega import (
 )
 from sdlisp.sexpr import parse_implicit, to_bits
 from sdlisp.universal import (
-    UNSETTLED,
     ComposedUniversal,
     LispU,
     ToyDoubling,
@@ -30,11 +30,14 @@ from sdlisp.universal import (
 )
 
 from oracles import (
+    UNSETTLED,
     dyadic_as_fraction,
     halted_by_suffix_enumeration,
     is_doubling_codeword,
     omega_by_enumeration,
+    root_pairs,
     runs_reference,
+    toy_omega_partial,
 )
 
 
@@ -55,7 +58,7 @@ class TestLowerBound:
     def test_matches_analytic_partial_sums(self):
         for max_len in range(0, 17):
             estimate = omega_lower_bound(TOY, max_len, None)
-            assert estimate.value == TOY.omega_partial(max_len), max_len
+            assert dyadic_as_fraction(estimate.value) == toy_omega_partial(max_len), max_len
 
     def test_fifteen_thirtyseconds_at_eight(self):
         estimate = omega_lower_bound(TOY, 8, 1000)
@@ -127,7 +130,7 @@ class _OneText(LispU):
         self.root = to_bits(parse_implicit(text))
 
     def roots(self, max_len, budget=None):
-        return iter(((self.root, UNSETTLED),))
+        return iter((([self.root], None),))
 
 
 class TestRuns:
@@ -195,7 +198,7 @@ class TestWalkAgainstReference:
                              [w[1:] for w in WALKS if hasattr(w[1], "roots")],
                              ids=[w[0] for w in WALKS if hasattr(w[1], "roots")])
     def test_settled_roots_agree_with_run(self, machine, max_len, budget):
-        roots = list(machine.roots(max_len, budget))
+        roots = list(root_pairs(machine, max_len, budget))
         assert [p for p, _ in roots] == sorted({p for p, _ in roots}, key=lambda p: (len(p), p))
         for p, value in roots:
             if value is not UNSETTLED:
@@ -210,7 +213,7 @@ class TestWalkAgainstReference:
                 Counted.calls += 1
                 return super().run(program, budget)
 
-        roots = list(LispU().roots(24, budget))
+        roots = list(root_pairs(LispU(), 24, budget))
         assert len(roots) == 8625
         assert all(value is UNSETTLED for _, value in roots)
         results = [result for _, result in runs(Counted(), 24, budget)]
@@ -232,9 +235,11 @@ class TestWalkAgainstReference:
     def test_a_root_equal_to_the_one_before_is_skipped(self):
         class Twice(ToyDoubling):
             def roots(self, max_len, budget=None):
-                for root in super().roots(max_len, budget):
-                    yield root
-                    yield root
+                # each span as two halves that share its middle root
+                for programs, values in super().roots(max_len, budget):
+                    values, h = list(values), len(programs) // 2
+                    yield programs[:h + 1], values[:h + 1]
+                    yield programs[h:], values[h:]
 
         assert list(runs(Twice(), 10, None)) == list(runs(TOY, 10, None))
 
@@ -242,10 +247,67 @@ class TestWalkAgainstReference:
     def test_roots_out_of_order_raise(self, order):
         class Shuffled(ToyDoubling):
             def roots(self, max_len, budget=None):
-                return ((p, UNSETTLED) for p in order)
+                return (([p], None) for p in order)
 
         with pytest.raises(ValueError, match="Shuffled"):
             list(runs(Shuffled(), 4, None))
+
+
+class _Headed(KraftMachine):
+    """A Kraft machine whose roots also hold the first bit of each of its
+    longer codewords, left to the run: the walk grows those bits, so their
+    extensions fall inside the settled spans and meet the codewords there."""
+
+    def roots(self, max_len, budget=None):
+        heads = sorted({word[0] for word in self.codewords if len(word) > 1})
+        spans = [([head], None) for head in heads] if max_len >= 1 else []
+        return heapq.merge(spans, super().roots(max_len, budget),
+                           key=lambda span: (len(span[0][0]), span[0][0]))
+
+
+class TestSpans:
+    """The span walk: the Ω fold against the reference walk, a settled span
+    cut by the extensions inside it, and spans out of order."""
+
+    @pytest.mark.parametrize("machine, max_len, budget",
+                             [w[1:] for w in WALKS], ids=[w[0] for w in WALKS])
+    def test_omega_folds_the_reference_walk(self, machine, max_len, budget):
+        halted = tuple(p for p, result in runs_reference(machine, max_len, budget) if result.halted)
+        estimate = omega_lower_bound(machine, max_len, budget)
+        assert estimate.halted == halted
+        assert dyadic_as_fraction(estimate.value) == sum(Fraction(1, 2 ** len(p)) for p in halted)
+
+    def test_extensions_cut_a_settled_span(self):
+        requests = [Requirement(2, "a"), Requirement(3, "b"), Requirement(3, "c"), Requirement(2, "d")]
+        machine = _Headed(build_computer(requests).assignments)
+        assert machine.codewords == ["00", "010", "011", "10"]
+        walk = list(runs(machine, 4, None))
+        # "01" grows from the head "0" and falls between the roots "00" and
+        # "10"; the extensions "00", "10", "010" and "011" are those roots
+        assert [(p, result.status, result.value) for p, result in walk] == [
+            ("0", "invalid", None), ("1", "invalid", None), ("00", "halted", "a"),
+            ("01", "invalid", None), ("10", "halted", "d"), ("11", "invalid", None),
+            ("010", "halted", "b"), ("011", "halted", "c")]
+        assert walk == list(runs_reference(machine, 4, None))
+        assert omega_lower_bound(machine, 4, None).halted == ("00", "10", "010", "011")
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cut_spans_match_the_reference(self, seed):
+        machine = _Headed(_seeded_kraft_machine(seed).assignments)
+        max_len = random.Random(seed).randint(0, 13)
+        assert list(runs(machine, max_len, None)) == list(runs_reference(machine, max_len, None))
+        halted = tuple(p for p, result in runs_reference(machine, max_len, None) if result.halted)
+        assert omega_lower_bound(machine, max_len, None).halted == halted
+
+    @pytest.mark.parametrize("spans", [
+        [["1", "0"]], [["0", "0"]], [["0", "00"]], [["01"], ["00", "11"]]])
+    def test_a_span_out_of_order_or_of_two_lengths_raises(self, spans):
+        class Unordered(ToyDoubling):
+            def roots(self, max_len, budget=None):
+                return ((programs, None) for programs in spans)
+
+        with pytest.raises(ValueError, match="Unordered"):
+            list(runs(Unordered(), 4, None))
 
 
 class TestCountSolver:

@@ -36,7 +36,7 @@ from sdlisp.universal import (
     still_running,
 )
 
-from oracles import is_doubling_codeword, lispu_run_without_data, toy_domain_up_to
+from oracles import is_doubling_codeword, lispu_run_without_data, root_pairs, toy_domain_up_to
 
 U = LispU()
 
@@ -241,7 +241,7 @@ class TestToyDoubling:
             assert self.toy.run(p).halted == is_doubling_codeword(p), p
 
     def test_candidates_are_exactly_the_domain(self):
-        assert [p for p, _ in self.toy.roots(12)] == sorted(toy_domain_up_to(12), key=lambda p: (len(p), p))
+        assert [p for p, _ in root_pairs(self.toy, 12)] == sorted(toy_domain_up_to(12), key=lambda p: (len(p), p))
 
     def test_budget_is_irrelevant(self):
         assert self.toy.run("00001101", 0).halted
@@ -291,14 +291,14 @@ class TestToyRoots:
     def test_roots_match_the_definition_through_20_bits(self, machine):
         reference = [(doubled(x) + "01", machine._output(x)) for x in self.strings(9)]
         for max_len in range(21):
-            assert list(machine.roots(max_len)) == [r for r in reference if len(r[0]) <= max_len], max_len
+            assert list(root_pairs(machine, max_len)) == [r for r in reference if len(r[0]) <= max_len], max_len
 
     def test_pair_roots_match_the_definition_through_16_bits(self):
         reference = sorted(((doubled(x) + "01" + doubled(y) + "01", (bit_values(x), bit_values(y)))
                             for x in self.strings(6) for y in self.strings(6 - len(x))),
                            key=lambda r: (len(r[0]), r[0]))
         for max_len in range(17):
-            assert list(ToyPair().roots(max_len)) == [r for r in reference if len(r[0]) <= max_len], max_len
+            assert list(root_pairs(ToyPair(), max_len)) == [r for r in reference if len(r[0]) <= max_len], max_len
 
     @pytest.mark.parametrize("machine", [ToyDoubling(), ToyNumeral()], ids=lambda m: m.name)
     def test_values_are_the_outputs_of_run(self, machine):
@@ -310,8 +310,8 @@ class TestToyRoots:
             assert list(machine._values(n)) == list(map(machine._output, strings)), n
 
     def test_roots_stream_without_building_a_length(self):
-        assert list(islice(ToyDoubling().roots(10_000), 3)) == [("01", ()), ("0001", (0,)), ("1101", (1,))]
-        assert list(islice(ToyNumeral().roots(10_000), 3)) == [("01", 0), ("0001", 0), ("1101", 1)]
+        assert list(islice(root_pairs(ToyDoubling(), 10_000), 3)) == [("01", ()), ("0001", (0,)), ("1101", (1,))]
+        assert list(islice(root_pairs(ToyNumeral(), 10_000), 3)) == [("01", 0), ("0001", 0), ("1101", 1)]
 
 
 @pytest.mark.parametrize("machine", [ToyDoubling(), ToyNumeral(), ToyPair(), LispU(),
@@ -375,7 +375,7 @@ class TestCompose:
         machines = [ToyDoubling(), ToyNumeral(), ToyPair()]
         comp = ComposedUniversal(machines)
         for k, machine in enumerate(machines):
-            for q, _ in machine.roots(10):
+            for q, _ in root_pairs(machine, 10):
                 direct = machine.run(q)
                 composed = comp.run("0" * k + "1" + q)
                 assert composed.halted

@@ -15,10 +15,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, compress, count, islice, repeat
+from operator import eq
 from typing import Iterable, Iterator
 
-from .dyadic import Dyadic, mass
+from .dyadic import Dyadic, sum_dyadic
 from .interp import (
     Budget,
     OutOfData,
@@ -28,7 +29,7 @@ from .interp import (
     applies_as_nil,
     evaluate,
 )
-from .omega import runs
+from .omega import _walk
 from .sexpr import (
     NIL,
     PRIMITIVE_ARITY,
@@ -76,12 +77,20 @@ def H_upper(x: SExpr, machine, size_cap: int, budget: int | None) -> ComplexityR
     program.  The toys and Kraft machines never answer still-running.
     """
     undecided = size_cap + 1  # length of the first still-running program
-    for p, result in runs(machine, size_cap, budget):
-        if result.status == STILL_RUNNING:
+    for p, outcome in _walk(machine, size_cap, budget):
+        if type(p) is not str:
+            # a settled span: the first program whose value is x, if any
+            i = next(compress(count(), map(eq, outcome, repeat(x))), None)
+            if i is None:
+                continue
+            p = p[i]
+        elif outcome.status == STILL_RUNNING:
             undecided = min(undecided, len(p))
-        elif result.halted and result.value == x:
-            return ComplexityRecord(target=x, witness=p, size=len(p), search_cap=size_cap,
-                                    budget=budget, exact=len(p) <= undecided)
+            continue
+        elif not (outcome.halted and outcome.value == x):
+            continue
+        return ComplexityRecord(target=x, witness=p, size=len(p), search_cap=size_cap,
+                                budget=budget, exact=len(p) <= undecided)
     raise SearchExhausted(f"no program of <= {size_cap} bits computes {print_canonical(x)}")
 
 
@@ -111,14 +120,17 @@ class ExpressionSpace:
         object.__setattr__(self, "symbols", tuple(dict.fromkeys(self.symbols)))
 
     def atoms_of_size(self, size: int) -> Iterator[SExpr]:
+        return chain(self.numerals_of_size(size), self.symbols_of_size(size))
+
+    def numerals_of_size(self, size: int) -> range:
         lo = 0 if size == 1 else 10 ** (size - 1)
         hi = 10 ** size - 1
         if self.numeral_limit is not None:
             hi = min(hi, self.numeral_limit)
-        yield from range(lo, hi + 1)
-        for name in self.symbols:
-            if len(name) == size:
-                yield NIL if name == "nil" else name
+        return range(lo, hi + 1)
+
+    def symbols_of_size(self, size: int) -> list[SExpr]:
+        return [NIL if name == "nil" else name for name in self.symbols if len(name) == size]
 
     def of_size(self, size: int) -> tuple:
         """Every canonical expression of the space that prints in exactly
@@ -192,40 +204,45 @@ def lisp_complexity_upper(x: SExpr, char_cap: int, budget: int | None,
 
     The witness is exact when no smaller expression ran out of time (depth
     included); out-of-data is final, since the search gives no data.  A
-    settled block of lists whose head applies as nil (budget at least 1)
-    holds the witness, its first list, when *x* is nil, and is passed over
-    otherwise.
+    size's numerals are checked by membership: each is its own value, so
+    only the numeral *x* itself can be the witness, and it comes before the
+    rest of its size.  A settled block of lists whose head applies as nil
+    (budget at least 1) holds the witness, its first list, when *x* is nil,
+    and is passed over otherwise.
     """
     space = space or ExpressionSpace()
     ctx = Session()._ctx(Budget(budget))
     shared = ctx.budget
     undecided = char_cap + 1  # size of the first expression out of time
+
+    def found(witness, size):
+        return ComplexityRecord(target=x, witness=witness, size=size, search_cap=char_cap,
+                                budget=budget, exact=size <= undecided, unit="chars")
+
     for size in range(1, char_cap + 1):
-        for settled, exprs in _spans(space, size, ctx.genv, budget):
+        if type(x) is int and x in space.numerals_of_size(size):
+            return found(x, size)
+        # the size's symbols, then its blocks of lists (_spans less its atoms)
+        blocks = islice(_spans(space, size, ctx.genv, budget), 1, None)
+        for settled, exprs in chain([(False, space.symbols_of_size(size))], blocks):
             if settled:
                 if x == NIL:
-                    return ComplexityRecord(target=x, witness=exprs[0], size=size,
-                                            search_cap=char_cap, budget=budget,
-                                            exact=size <= undecided, unit="chars")
+                    return found(exprs[0], size)
                 if budget is not None:
                     shared.used += len(exprs)
                 continue
             for expr in exprs:
-                if type(expr) is int:
-                    value = expr
-                else:
-                    if budget is not None:
-                        shared.limit = shared.used + budget
-                    try:
-                        value = evaluate(expr, {}, ctx)
-                    except OutOfTime:
-                        undecided = min(undecided, size)
-                        continue
-                    except OutOfData:
-                        continue
+                if budget is not None:
+                    shared.limit = shared.used + budget
+                try:
+                    value = evaluate(expr, {}, ctx)
+                except OutOfTime:
+                    undecided = min(undecided, size)
+                    continue
+                except OutOfData:
+                    continue
                 if value == x:
-                    return ComplexityRecord(target=x, witness=expr, size=size, search_cap=char_cap,
-                                            budget=budget, exact=size <= undecided, unit="chars")
+                    return found(expr, size)
     raise SearchExhausted(f"no expression of <= {char_cap} chars evaluates to {print_canonical(x)}")
 
 
@@ -312,8 +329,14 @@ def run_pair(xstar: str, ystar: str, budget: int | None = None):
 
 def P_lower(x: SExpr, machine, max_len: int, budget: int | None) -> Dyadic:
     """Mass of the programs of length <= max_len that compute *x* in time."""
-    return mass(len(p) for p, result in runs(machine, max_len, budget)
-                if result.halted and result.value == x)
+    counts = []
+    for p, outcome in _walk(machine, max_len, budget):
+        if type(p) is not str:
+            # a settled span: its programs have one length
+            counts.append(Dyadic(sum(map(eq, outcome, repeat(x))), len(p[0])))
+        elif outcome.halted and outcome.value == x:
+            counts.append(Dyadic(1, len(p)))
+    return sum_dyadic(counts)
 
 
 @dataclass(frozen=True)

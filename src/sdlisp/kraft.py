@@ -5,7 +5,8 @@ allocator hands out the lexicographically least s-bit string that is neither
 a prefix nor an extension of anything already assigned - equivalently, the
 leftmost free dyadic interval of length 2^-s in the unit interval.  The
 construction succeeds exactly when the running sum of 2^-s stays at or
-below one.
+below one, so a stream fails at the first request whose running sum goes
+above one.
 
 First fit keeps the invariant behind the Kraft-Chaitin lemma: there is at
 most one free aligned block at each depth, and a deeper free block lies to
@@ -19,17 +20,17 @@ highest 1-bit at or below s.
 
 A build therefore needs no allocation to know whether it fails.  The
 running sum only grows, so the stream's total decides: a stream whose total
-is at most one is allocated with no per-request check, and one whose total
-exceeds one is scanned with the free-depth rule alone, on the bitmask,
-making no codeword, to find the first request that does not fit.
+is at most one is allocated with no failure check, and one whose total
+exceeds one fails where its exact running sum first passes one, found
+without making a codeword.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter
+from itertools import accumulate, compress, count, groupby
+from operator import attrgetter, itemgetter
 
 from .bits import check_bits
 from .dyadic import Dyadic, mass
@@ -51,17 +52,6 @@ class Exhausted(Exception):
     """No codeword of the requested size is available."""
 
 
-def _fit(free_mask: int, size: int) -> tuple[int, int]:
-    """First fit's free-depth rule for a size-bit request: the depth of the
-    block it splits (the deepest free depth at or below size) and the free
-    mask after the split.  Raises Exhausted when no such depth is free."""
-    depth = (free_mask & ((2 << size) - 1)).bit_length() - 1
-    if depth < 0:
-        raise Exhausted(f"no free {size}-bit codeword")
-    # take depth's block; the split frees depths depth+1..size
-    return depth, free_mask ^ ((1 << depth) | ((2 << size) - (2 << depth)))
-
-
 class Allocator:
     """First-fit codeword allocator over one unit of dyadic storage."""
 
@@ -76,17 +66,33 @@ class Allocator:
 
     def request(self, req: Requirement) -> str:
         """Assign and return a codeword for *req*; raises Exhausted."""
-        size, free = req.size, self.free
-        depth, self.free_mask = _fit(self.free_mask, size)
-        index = free.pop(depth)
-        while depth < size:
-            # split: descend into the left half, free the right half
-            index <<= 1
-            depth += 1
-            free[depth] = index + 1
-        codeword = bin(index | 1 << size)[3:]
-        self.assigned.append((codeword, req.output))
-        return codeword
+        self.place((req,))
+        return self.assigned[-1][0]
+
+    def place(self, requirements) -> None:
+        """Assign codewords to *requirements* in turn, appending each to
+        ``assigned``; raises Exhausted at the first that does not fit, with
+        the allocator as the requirements before it left it."""
+        free, mask, append = self.free, self.free_mask, self.assigned.append
+        try:
+            for req in requirements:
+                size = req.size
+                top = 2 << size
+                # the deepest free depth at or below size holds the block
+                depth = (mask & (top - 1)).bit_length() - 1
+                if depth < 0:
+                    raise Exhausted(f"no free {size}-bit codeword")
+                # take depth's block; the split frees depths depth+1..size
+                mask ^= top - (1 << depth)
+                index = free.pop(depth)
+                while depth < size:
+                    # split: descend into the left half, free the right half
+                    index <<= 1
+                    depth += 1
+                    free[depth] = index + 1
+                append((bin(index | 1 << size)[3:], req.output))
+        finally:
+            self.free_mask = mask
 
 
 class KraftMachine:
@@ -100,11 +106,10 @@ class KraftMachine:
         self.outputs = dict(self.assignments)
         # In sorted order a word that is a prefix of another is a prefix of
         # its successor, so neighbours alone decide prefix-freeness.
-        self.codewords = sorted(codeword for codeword, _ in self.assignments)
-        for a, b in zip(self.codewords, self.codewords[1:]):
-            if b.startswith(a):
-                raise ValueError(f"codewords are not prefix-free: {a!r} and {b!r}")
-        self.exact_omega = mass(len(codeword) for codeword, _ in self.assignments)
+        words = self.codewords = sorted(map(itemgetter(0), self.assignments))
+        for i in compress(count(), map(str.startswith, words[1:], words)):
+            raise ValueError(f"codewords are not prefix-free: {words[i]!r} and {words[i + 1]!r}")
+        self.exact_omega = mass(map(len, words))
 
     def run(self, program: str, budget: int | None = None) -> RunResult:
         if check_bits(program) in self.outputs:
@@ -142,27 +147,19 @@ def build_computer(requirements) -> KraftMachine:
     """Process requirements in order into a machine; fails at the first
     request that cannot be met, reporting its index.
 
-    The stream's total mass decides which: the running sum only grows, so a
-    stream whose total is at most one is allocated with no failure check,
-    and a stream whose total exceeds one is scanned on the free mask alone,
-    making no codeword, for the first request that does not fit."""
+    The stream's total mass decides whether it fails: the running sum only
+    grows, so a stream whose total is at most one is allocated with no
+    failure check, and a stream whose total exceeds one fails at the first
+    request whose running sum goes above one.  Those sums are exact integer
+    prefix sums at scale 2^max(size), and no codeword is made."""
     if not isinstance(requirements, (list, tuple)):
         requirements = list(requirements)  # a one-shot stream is read twice
     if mass(map(attrgetter("size"), requirements)) > 1:
-        raise _first_misfit(requirements)
+        sizes = list(map(attrgetter("size"), requirements))
+        one = 1 << max(sizes)
+        sums = accumulate(map(one.__rshift__, sizes))
+        i = next(compress(count(), map(one.__lt__, sums)))
+        raise BuildFailure(i, requirements[i])
     allocator = Allocator()
-    request = allocator.request
-    for req in requirements:
-        request(req)
+    allocator.place(requirements)
     return KraftMachine(allocator.assigned)
-
-
-def _first_misfit(requirements) -> BuildFailure:
-    """The failure of a stream whose total exceeds one: the first request
-    the free-depth rule cannot place, found on the free mask alone."""
-    free_mask = 1
-    for i, req in enumerate(requirements):
-        try:
-            free_mask = _fit(free_mask, req.size)[1]
-        except Exhausted:
-            return BuildFailure(i, req)

@@ -235,11 +235,20 @@ def omega_prime_lower(machine, n_max: int, size_cap: int, budget: int | None) ->
     a lower bound, and the range is finite: this is a lower bound of a lower
     bound, reported as nothing more.  One walk serves every N: in its
     (length, lexicographic) order the first program that halts with N is
-    the witness H_upper would find.
+    the witness H_upper would find, and a settled span is read off its
+    values, every program in it having one length.  The walk stops once
+    every N has a witness.
     """
     wanted = range(n_max + 1)
     sizes: dict[int, int] = {}
-    for p, result in runs(machine, size_cap, budget):
-        if result.halted and type(result.value) is int and result.value in wanted:
-            sizes.setdefault(result.value, len(p))
+    for p, outcome in _walk(machine, size_cap, budget):
+        if type(p) is str:
+            values = (outcome.value,) if outcome.status == HALTED else ()
+        else:
+            p, values = p[0], outcome
+        for value in values:
+            if type(value) is int and value in wanted:
+                sizes.setdefault(value, len(p))
+        if len(sizes) == len(wanted):
+            break  # every term has its witness; the rest of the walk adds none
     return mass(sizes.values())

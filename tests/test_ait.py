@@ -226,6 +226,24 @@ class TestLispComplexity:
         assert record.size == len(text)
         assert record.exact == all(size >= len(text) for size in out_of_time)
 
+    @pytest.mark.parametrize("numeral_limit", [9, 99, None])
+    def test_numeral_and_other_targets_match_the_assembled_walk(self, numeral_limit):
+        # a size's numerals are checked by membership, not walked: a numeral
+        # target past the limit or the cap, a list and a symbol still get
+        # the first witness of the assembled texts
+        space = ExpressionSpace(symbols=("'", "a", "car"), numeral_limit=numeral_limit)
+        for target in (0, 7, 10, 99, 100, 1234, parse_full("(1)"), "a", NIL):
+            for budget in (0, 4):
+                text, out_of_time = first_witness(target, 4, budget, space.symbols, numeral_limit)
+                if text is None:
+                    with pytest.raises(SearchExhausted):
+                        lisp_complexity_upper(target, 4, budget, space)
+                    continue
+                record = lisp_complexity_upper(target, 4, budget, space)
+                assert print_canonical(record.witness) == text
+                assert record.size == len(text)
+                assert record.exact == all(size >= len(text) for size in out_of_time)
+
     def test_same_size_out_of_time_keeps_the_witness_exact(self, reversed_layout):
         space = ExpressionSpace(numeral_limit=9)
         # at budget 2, (((0))) runs out of time before (* 2 9), both 7 chars

@@ -1,6 +1,7 @@
 """First-fit allocation against the unit interval."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -303,3 +304,102 @@ class TestBuildAgainstReference:
         assignments, failed = build(sizes)
         assert failed is None
         assert assignments == reference_build(sizes)[0]
+
+
+def first_running_sum_above_one(sizes):
+    """Index of the first size whose Fraction running sum of 2^-s exceeds
+    one, or None."""
+    used = Fraction(0)
+    for i, s in enumerate(sizes):
+        used += Fraction(1, 2 ** s)
+        if used > 1:
+            return i
+    return None
+
+
+class TestRunningSum:
+    def test_seeded_streams_with_a_deep_requirement(self):
+        rng = random.Random(97)
+        kinds = Counter()
+        for _ in range(150):
+            floor = rng.randrange(0, 5)
+            sizes = [rng.randint(floor, 20) for _ in range(rng.randint(1, 60))]
+            deep = rng.random() < 0.4
+            if deep:
+                # one requirement past a machine word, anywhere in the stream
+                sizes.insert(rng.randint(0, len(sizes)), rng.randint(64, 300))
+            failed = first_running_sum_above_one(sizes)
+            kinds[failed is None, deep] += 1
+            expected = reference_build(sizes)
+            assert expected[1] == failed, sizes
+            assert build(sizes) == expected, sizes
+        # fitting and overfull streams, with and without a deep requirement
+        assert len(kinds) == 4 and min(kinds.values()) >= 15, kinds
+
+    def test_the_failure_is_where_the_sum_first_passes_one(self):
+        # the total decides that the stream fails, the running sum where
+        assert build([300, 1, 2, 3, 300, 3, 300]) == (None, 5)
+        assert build([1, 1, 64]) == (None, 2)
+        assert build([2, 2, 2, 2, 0]) == (None, 4)
+        assert build([0, 300]) == (None, 1)
+
+
+def allocator_state(a):
+    return dict(a.free), a.free_mask, list(a.assigned)
+
+
+def place_by_requests(a, reqs):
+    """Request each of reqs in turn, stopping at the first Exhausted."""
+    for req in reqs:
+        try:
+            a.request(req)
+        except Exhausted:
+            return True
+    return False
+
+
+class TestPlace:
+    @pytest.mark.parametrize("sizes", [
+        [1, 2, 3, 3], [3, 1, 4, 4, 3, 5, 5], [0], [200, 1, 13, 2],
+        [1, 2, 1, 3], [2, 2, 0, 2], [1, 1, 1]])
+    def test_place_leaves_what_successive_requests_leave(self, sizes):
+        reqs = [Requirement(s, i) for i, s in enumerate(sizes)]
+        by_requests = Allocator()
+        exhausted = place_by_requests(by_requests, reqs)
+        placed = Allocator()
+        if exhausted:
+            with pytest.raises(Exhausted):
+                placed.place(reqs)
+        else:
+            placed.place(reqs)
+        assert allocator_state(placed) == allocator_state(by_requests)
+
+    def test_seeded_streams_placed_after_requests(self):
+        rng = random.Random(101)
+        exhausted = fitted = 0
+        for _ in range(200):
+            reqs = [Requirement(rng.randint(1, 12), i) for i in range(rng.randint(1, 40))]
+            cut = rng.randint(0, len(reqs))
+            by_requests, placed = Allocator(), Allocator()
+            if place_by_requests(placed, reqs[:cut]):
+                continue
+            stopped = place_by_requests(by_requests, reqs)
+            try:
+                placed.place(reqs[cut:])
+            except Exhausted:
+                assert stopped
+                exhausted += 1
+            else:
+                assert not stopped
+                fitted += 1
+            assert allocator_state(placed) == allocator_state(by_requests)
+        assert exhausted >= 40 and fitted >= 40, (exhausted, fitted)
+
+    def test_an_exhausted_place_keeps_the_requests_before_it(self):
+        a = Allocator()
+        with pytest.raises(Exhausted):
+            a.place([Requirement(1, "a"), Requirement(2, "b"), Requirement(1, "c"),
+                     Requirement(2, "d")])
+        assert a.assigned == [("0", "a"), ("10", "b")]
+        assert a.free == {2: 3} and a.free_mask == 0b100
+        assert a.request(Requirement(2, "d")) == "11"

@@ -12,7 +12,6 @@ at the given caps and budget.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, compress, count, islice, repeat
@@ -123,6 +122,8 @@ class ExpressionSpace:
         return chain(self.numerals_of_size(size), self.symbols_of_size(size))
 
     def numerals_of_size(self, size: int) -> range:
+        if size < 1:
+            return range(0)
         lo = 0 if size == 1 else 10 ** (size - 1)
         hi = 10 ** size - 1
         if self.numeral_limit is not None:
@@ -136,14 +137,9 @@ class ExpressionSpace:
         """Every canonical expression of the space that prints in exactly
         *size* characters, in order: ``size_chars(expr) == size`` for each
         one, which the searches rely on instead of measuring.  The tuple is
-        cached; the searches stream their sizes and cache only those that
-        longer lists are built from."""
-        return _space_of_size(self, size)
-
-
-def _atom_count(exprs: tuple) -> int:
-    # a size's atoms come first, then its lists
-    return bisect_left(exprs, True, key=lambda e: type(e) is tuple and e != NIL)
+        built afresh; the searches stream their sizes and cache only the
+        lists that longer lists are built from."""
+        return tuple(chain(self.atoms_of_size(size), _space_of_size(self, size)))
 
 
 def _layout(space: ExpressionSpace, size: int) -> list[tuple[int, tuple]]:
@@ -151,13 +147,10 @@ def _layout(space: ExpressionSpace, size: int) -> list[tuple[int, tuple]]:
     tails) groups: each expression of k chars in turn heads one list per
     tail, the tail's items after it.  The tails are the lists of size - k -
     1 chars, or the empty tail alone when k == size - 2.  Every part is at
-    most size - 2 chars, so a size is built from cached smaller sizes.
-    This is the one description of the order: :func:`_spans` walks it, and
+    most size - 2 chars, so a size is built from smaller sizes' atoms and
+    cached lists.  This is the one description of the order: :func:`_spans` walks it, and
     ``_space_of_size`` builds from that walk."""
-    groups = []
-    for k in range(1, size - 3):
-        rests = _space_of_size(space, size - k - 1)
-        groups.append((k, rests[_atom_count(rests):]))
+    groups = [(k, _space_of_size(space, size - k - 1)) for k in range(1, size - 3)]
     if size >= 3:
         groups.append((size - 2, ((),)))
     return groups
@@ -165,21 +158,22 @@ def _layout(space: ExpressionSpace, size: int) -> list[tuple[int, tuple]]:
 
 @lru_cache(maxsize=None)
 def _space_of_size(space: ExpressionSpace, size: int) -> tuple:
-    # a budget under one step settles nothing, so the spans are the order
-    return tuple(chain.from_iterable(exprs for _, exprs in _spans(space, size, {}, 0)))
+    # the lists: the spans after the atoms, which a budget of 0 leaves in order
+    lists = islice(_spans(space, size, {}, 0), 1, None)
+    return tuple(chain.from_iterable(exprs for _, exprs in lists))
 
 
 def _spans(space: ExpressionSpace, size: int, genv: dict,
            budget: int | None) -> Iterator[tuple[bool, Iterable[SExpr]]]:
     """The expressions of *size* in order, streamed as (settled, exprs)
-    spans: the atoms, then one block per head of :func:`_layout`, built
-    from cached smaller sizes.  A block whose head applies as nil over
+    spans: the atoms, then one block per head of :func:`_layout`, the
+    heads of k chars being k's atoms, then its cached lists.  A block whose head applies as nil over
     *genv* (see :func:`~sdlisp.interp.applies_as_nil`) is settled, a tuple,
     when the budget allows a step; every other span is to be read once."""
     settles = budget is None or budget >= 1
     yield False, space.atoms_of_size(size)
     for k, tails in _layout(space, size):
-        for head in _space_of_size(space, k):
+        for head in chain(space.atoms_of_size(k), _space_of_size(space, k)):
             block = map((head,).__add__, tails)
             if settles and applies_as_nil(head, genv):
                 yield True, tuple(block)
@@ -253,10 +247,6 @@ class ElegantReport:
     listing: dict
     min_size: dict
     elegant: tuple
-
-    def is_elegant(self, expr: SExpr) -> bool:
-        value = self.listing.get(expr)
-        return value is not None and self.min_size[value] == size_chars(expr)
 
 
 def elegant_search(char_cap: int, budget: int | None,
@@ -393,36 +383,30 @@ def run_theory(theory: SExpr, budget: int | None) -> TheoryRun:
     return TheoryRun(status, payload, captures, terminated=(status == SUCCESS))
 
 
+@lru_cache(maxsize=None)
+def _searcher_body(constant: int) -> SExpr:
+    # read once per constant; _searcher_expr binds t to the quoted theory
+    return parse_full(
+        "(let walk (lambda (w lst)"
+        " (if (atom lst) nil (let m (car lst) (if (atom m) (w w (cdr lst))"
+        f" (if (= (car m) (' elegant)) (if (< (+ (size t) {constant}) (size (cadr m)))"
+        " m (w w (cdr lst))) (w w (cdr lst)))))))"
+        " (let loop (lambda (l b) (let hit (walk walk (car (cdr (cdr (try b t nil)))))"
+        " (if (atom hit) (l l (* 2 b)) (eval (cadr hit)))))"
+        " (loop loop 1)))"
+    )
+
+
 def _searcher_expr(theory: SExpr, constant: int) -> SExpr:
     """The searcher, written in the dialect, applied to the quoted theory.
 
     It measures the theory's size, runs it under doubling budgets, scans
     the captured theorems for a well-formed claim about an expression
     bigger than (size of theory + constant), and evaluates that expression
-    as its own value.
+    as its own value.  The theory is quoted as the object itself, so a
+    context watching it sees the searcher's rounds.
     """
-    threshold = ("+", ("size", "t"), constant)
-    walk = ("lambda", ("w", "lst"),
-            ("if", ("atom", "lst"),
-             NIL,
-             ("let", "m", ("car", "lst"),
-              ("if", ("atom", "m"),
-               ("w", "w", ("cdr", "lst")),
-               ("if", ("=", ("car", "m"), (QUOTE, "elegant")),
-                ("if", ("<", threshold, ("size", ("cadr", "m"))),
-                 "m",
-                 ("w", "w", ("cdr", "lst"))),
-                ("w", "w", ("cdr", "lst")))))))
-    loop = ("lambda", ("l", "b"),
-            ("let", "hit",
-             ("walk", "walk", ("car", ("cdr", ("cdr", ("try", "b", "t", NIL))))),
-             ("if", ("atom", "hit"),
-              ("l", "l", ("*", 2, "b")),
-              ("eval", ("cadr", "hit")))))
-    return ("let", "t", (QUOTE, theory),
-            ("let", "walk", walk,
-             ("let", "loop", loop,
-              ("loop", "loop", 1))))
+    return ("let", "t", (QUOTE, theory), _searcher_body(constant))
 
 
 def build_searcher(theory: SExpr) -> tuple[SExpr, int]:

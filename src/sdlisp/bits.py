@@ -7,6 +7,7 @@ cursor so self-delimiting decoders can consume exactly as much as they need.
 
 from __future__ import annotations
 
+import re
 from itertools import product
 
 
@@ -51,24 +52,19 @@ def doubled(x: str) -> str:
     return x.replace("0", "00").replace("1", "11")
 
 
+# equal pairs, then the unequal pair that ends them
+_DOUBLED_WORD = re.compile("(?:00|11)*(?:01|10)")
+
+
 def read_doubled(bits: str, i: int = 0) -> tuple[str, int] | None:
     """The doubled word at index *i* of *bits* (each equal pair carries a bit,
     the first unequal pair ends it) and the index past that pair, or None
-    when the bits run out first.  The caller decides which pairs may end it.
-    Read as numerals (base 2 has no digit limit), a window of whole pairs'
-    first and second bits first differ at its first unequal pair.  The
-    windows double in size, so a word costs its own length, not the rest of
-    the bits."""
-    end = len(bits) - (len(bits) - i) % 2  # past the last whole pair
-    lo, width = i, 64
-    while lo < end:
-        hi = min(end, lo + width)
-        a, b = bits[lo:hi:2], bits[lo + 1:hi:2]
-        if a != b:
-            j = hi - 2 * (int(a, 2) ^ int(b, 2)).bit_length()  # the unequal pair
-            return bits[i:j:2], j + 2
-        lo, width = hi, 2 * width
-    return None
+    when the bits run out first.  The caller decides which pairs may end it."""
+    found = _DOUBLED_WORD.match(bits, i)
+    if found is None:
+        return None
+    j = found.end()
+    return bits[i:j - 2:2], j
 
 
 def all_bitstrings(length: int):

@@ -1,5 +1,6 @@
 """Complexity searches, elegance, pairing, theories, and the searcher."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -285,8 +286,8 @@ class TestElegance:
         report = elegant_search(7, 64, space)
         addition = parse_full("(+ 1 1)")
         assert addition in report.listing
-        assert not report.is_elegant(addition)
-        assert report.is_elegant(2)
+        assert (addition, 2) not in report.elegant
+        assert (2, 2) in report.elegant
 
     def test_matches_brute_force_oracle_at_cap_five(self):
         space = ExpressionSpace(numeral_limit=9999)
@@ -434,6 +435,18 @@ class TestExpressionSpace:
                     head = exprs[0][0]
                     assert all(type(e) is tuple and e != NIL and e[0] == head for e in exprs)
                     assert applies_as_nil(head, genv)
+
+    def test_no_expression_has_fewer_than_one_char(self):
+        space = ExpressionSpace()
+        assert space.of_size(0) == space.of_size(-1) == ()
+
+    def test_the_cache_holds_only_lists(self):
+        # the atoms of a size, numerals above all, are made afresh from ranges
+        space = ExpressionSpace()
+        for k in range(1, 6):
+            lists = ait._space_of_size(space, k)
+            assert all(type(e) is tuple and e != NIL for e in lists)
+            assert space.of_size(k) == (*space.atoms_of_size(k), *lists)
 
     def test_every_block_of_the_eight_char_space_is_settled_by_the_rule(self):
         # where a head applies as nil, its block's first list is nil in one
@@ -583,14 +596,18 @@ class TestTheories:
 
 class TestBerry:
     def test_searcher_constant_is_stable(self):
-        for theory in (sound_mock_theory(), unsound_mock_theory()):
+        for theory, digest in (
+            (sound_mock_theory(), "45e4f0191eb493f111a82864b9715ae0964d2c99184f597c68357238409eb685"),
+            (unsound_mock_theory(), "287e2ddeb2b9f98254a4091bb5821829570e0e52e48c09352692187d099c9f70"),
+        ):
             expr1, c1 = build_searcher(theory)
             expr2, c2 = build_searcher(theory)
             assert (expr1, c1) == (expr2, c2)
             assert size_chars(expr1) == size_chars(theory) + c1
-        _, c_sound = build_searcher(sound_mock_theory())
-        _, c_unsound = build_searcher(unsound_mock_theory())
-        assert c_sound == c_unsound
+            assert c1 == 355
+            text = print_canonical(expr1)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
+            assert parse_full(text) == expr1
 
     def test_sound_theory_never_triggers(self):
         outcome = berry_searcher(sound_mock_theory(), [256, 1024, 4096])

@@ -97,9 +97,7 @@ class TestReadDoubled:
         assert read_doubled(body + "0", 0) is None
 
     def test_matches_the_reference_for_every_word_length_up_to_1200(self):
-        # the windows of pairs double from 32, so their edges (32, 96, 224,
-        # 480 and 992 pairs) lie inside this range: a word can end on the
-        # last pair of a window or the first pair of the next
+        # words of every length, each after an even and an odd head
         rng = random.Random(71)
         tail = "".join(rng.choice("01") for _ in range(5000))
         for length in range(1200):

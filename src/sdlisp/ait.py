@@ -36,6 +36,7 @@ from .sexpr import (
     SExpr,
     parse_full,
     print_canonical,
+    single_atom,
     size_chars,
     to_bits,
 )
@@ -117,6 +118,9 @@ class ExpressionSpace:
     def __post_init__(self):
         # a repeated symbol would enumerate every expression using it twice
         object.__setattr__(self, "symbols", tuple(dict.fromkeys(self.symbols)))
+        for name in self.symbols:
+            if name not in PRIMITIVE_ARITY and single_atom(name) != (NIL if name == "nil" else name):
+                raise ValueError(f"symbol {name!r} does not read back as itself")
 
     def atoms_of_size(self, size: int) -> Iterator[SExpr]:
         return chain(self.numerals_of_size(size), self.symbols_of_size(size))
@@ -413,17 +417,16 @@ def build_searcher(theory: SExpr) -> tuple[SExpr, int]:
     """The searcher for *theory* and its own constant.
 
     The constant must satisfy size(searcher) = size(theory) + constant while
-    appearing inside the searcher as a numeral, so it is solved as a fixed
-    point; the numeral's width settles after a couple of rounds.
+    appearing inside the searcher as a numeral, so only its digit count
+    changes the searcher's size: the rest is measured once, with a one-digit
+    constant, and constant = rest + digits(constant) solved by iteration,
+    which only grows and settles within a few rounds.
     """
-    n = size_chars(theory)
-    constant = 1
-    for _ in range(8):
-        actual = size_chars(_searcher_expr(theory, constant)) - n
-        if actual == constant:
-            return _searcher_expr(theory, constant), constant
-        constant = actual
-    raise AssertionError("searcher size fixed point did not settle")
+    rest = size_chars(_searcher_expr(theory, 1)) - size_chars(theory) - 1
+    constant = rest + 1
+    while constant < rest + len(str(constant)):
+        constant = rest + len(str(constant))
+    return _searcher_expr(theory, constant), constant
 
 
 @dataclass(frozen=True)

@@ -56,17 +56,11 @@ class Dyadic:
     def den(self) -> int:
         return 1 << self.exp
 
-    def _scaled(self, other: "Dyadic") -> tuple[int, int]:
-        e = max(self.exp, other.exp)
-        return self.num << (e - self.exp), other.num << (e - other.exp)
-
     def __add__(self, other: "Dyadic") -> "Dyadic":
-        a, b = self._scaled(other)
-        return Dyadic(a + b, max(self.exp, other.exp))
+        return sum_dyadic((self, other))
 
     def __sub__(self, other: "Dyadic") -> "Dyadic":
-        a, b = self._scaled(other)
-        return Dyadic(a - b, max(self.exp, other.exp))
+        return sum_dyadic((self, Dyadic(-other.num, other.exp)))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -81,8 +75,8 @@ class Dyadic:
     def _cmp(self, other) -> int:
         if isinstance(other, int):
             other = Dyadic(other)
-        a, b = self._scaled(other)
-        return (a > b) - (a < b)
+        d = (self - other).num
+        return (d > 0) - (d < 0)
 
     def __lt__(self, other) -> bool:
         return self._cmp(other) < 0
@@ -107,11 +101,7 @@ class Dyadic:
     def bin_str(self) -> str:
         """Terminating binary expansion, e.g. 3/4 -> '0.11'."""
         sign = "-" if self.num < 0 else ""
-        num = abs(self.num)
-        ip, frac = num >> self.exp, num & ((1 << self.exp) - 1)
-        if self.exp == 0:
-            return f"{sign}{format(ip, 'b')}"
-        return f"{sign}{format(ip, 'b')}.{format(frac, f'0{self.exp}b')}"
+        return sign + Dyadic(abs(self.num), self.exp).bin_str_fixed(self.exp)
 
     def bin_str_fixed(self, n: int) -> str:
         """Binary expansion truncated to exactly n fractional digits."""

@@ -52,11 +52,11 @@ def runs(machine, max_len: int, budget: int | None):
     Roots come in spans of one length, each checked in bulk: its programs
     must be of one length and strictly increasing, and its first must come
     after the root before it; one equal to that root is skipped, and one
-    before it raises ValueError.  A settled span with no extension inside
-    its range is taken whole: its programs halt with its values, without a
-    run.  Otherwise the extensions cut it, and a root equal to an extension
-    takes its place.  It is a loop, not a recursion, so every run starts at
-    the same host stack depth.
+    before it raises ValueError.  A settled span is taken whole, its
+    programs halting with its values without a run, unless an extension
+    falls inside its range; then its programs run with the extensions, a
+    root equal to an extension running once.  It is a loop, not a
+    recursion, so every run starts at the same host stack depth.
     """
     for p, outcome in _walk(machine, max_len, budget):
         if type(p) is str:
@@ -70,8 +70,8 @@ _END = (None, ())
 
 def _walk(machine, max_len: int, budget: int | None):
     """The walk of :func:`runs`, in its order: (program, result) for each
-    program run, and (programs, values) for each settled piece of a span,
-    taken without a run."""
+    program run, and (programs, values) for each settled span, taken
+    without a run."""
     run = machine.run
     lengths = groupby(_spans(machine, max_len, budget), lambda span: len(span[0][0]))
     length, spans = next(lengths, _END)
@@ -128,22 +128,9 @@ def _segments(spans, grown: list[str]):
         k = bisect_right(grown, programs[-1], j)
         if i < j:
             yield grown[i:j], None
-        if j == k:
-            yield programs, values
-        else:
-            # cut the span at each extension inside it; one equal to a root
-            # is that root
-            if values is not None:
-                values = list(values)
-            lo = 0
-            for extension in islice(grown, j, k):
-                r = bisect_left(programs, extension, lo)
-                if lo < r:
-                    yield programs[lo:r], None if values is None else values[lo:r]
-                if programs[r] != extension:
-                    yield [extension], None
-                lo = r
-            yield programs[lo:], None if values is None else values[lo:]
+        if j < k:  # an extension falls inside: run the span with the extensions
+            programs, values = sorted({*programs, *islice(grown, j, k)}), None
+        yield programs, values
         i = k
     if i < len(grown):
         yield grown[i:], None

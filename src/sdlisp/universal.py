@@ -23,9 +23,11 @@ after the one before it in (length, lexicographic) order.  ``values`` is
 None when only a run can tell the programs' outcomes.  Otherwise it
 iterates one value per program: a promise that the program halts under
 *budget* with that value and consumes every bit, so the search takes the
-span without a run.  The decidable
-machines settle every span and ignore the budget; LispU leaves every span
-to its runs, whose shortcut settles a single atom without a session.
+span whole, without a run, unless an out-of-data extension of a shorter
+program falls inside its range; then its programs run with the
+extensions.  The decidable machines settle every span and ignore the
+budget; LispU leaves every span to its runs, whose shortcut settles a
+single atom without a session.
 
 A search builds one :class:`RunResult` per program it runs (omega.runs one
 per settled program too), so it is a NamedTuple, and the non-halting

@@ -499,6 +499,17 @@ class TestExpressionSpace:
         assert len(exprs) == len(set(exprs)) == 10
         assert elegant_search(5, 64, twice) == elegant_search(5, 64, once)
 
+    @pytest.mark.parametrize("symbol", ["12", "a b", "()", "", " a"])
+    def test_a_symbol_that_does_not_read_back_as_itself_raises(self, symbol):
+        # "12" would print as the numeral 12, "a b" reads as two atoms
+        with pytest.raises(ValueError, match="does not read back"):
+            ExpressionSpace(symbols=("a", symbol), numeral_limit=20)
+
+    def test_nil_and_primitives_read_back_as_themselves(self):
+        space = ExpressionSpace(symbols=("nil", "'", "+", "a"), numeral_limit=20)
+        assert space.symbols_of_size(1) == ["'", "+", "a"]
+        assert space.symbols_of_size(3) == [NIL]
+
 
 class TestPairing:
     def test_prefix_is_the_canonical_composer(self):

@@ -51,6 +51,18 @@ def random_dyadic(rng) -> tuple[Dyadic, Fraction]:
     return Dyadic(num, exp), Fraction(num) / Fraction(2) ** exp
 
 
+def binary_expansion(f: Fraction) -> str:
+    """The terminating expansion of a dyadic *f*, digit by digit."""
+    sign, f = ("-" if f < 0 else ""), abs(f)
+    whole = f.numerator // f.denominator
+    digits, f = "", f - whole
+    while f:
+        digit = int(2 * f >= 1)
+        digits += str(digit)
+        f = 2 * f - digit
+    return f"{sign}{whole:b}" + (f".{digits}" if digits else "")
+
+
 class TestAgainstFractions:
     """Seeded random checks of the exact arithmetic against the stdlib."""
 
@@ -68,6 +80,22 @@ class TestAgainstFractions:
             for d, f in ((a + b, fa + fb), (a - b, fa - fb)):
                 assert_normalized(d)
                 assert as_fraction(d) == f
+
+    def test_ordering(self):
+        rng = random.Random(6)
+        for _ in range(2000):
+            (a, fa), (b, fb) = random_dyadic(rng), random_dyadic(rng)
+            n = rng.choice([rng.randrange(-3, 4), round(fa)])
+            for x, fx, y, fy in ((a, fa, b, fb), (a, fa, a, fa), (a, fa, n, n), (n, n, a, fa)):
+                assert (x < y, x <= y, x > y, x >= y, x == y) == (
+                    fx < fy, fx <= fy, fx > fy, fx >= fy, fx == fy), (x, y)
+
+    def test_binary_expansion(self):
+        rng = random.Random(7)
+        for _ in range(2000):
+            d, f = random_dyadic(rng)
+            assert d.bin_str() == binary_expansion(f)
+            assert Dyadic(-d.num, d.exp).bin_str() == binary_expansion(-f)
 
     def test_sum(self):
         assert sum_dyadic([]) == Dyadic.zero()

@@ -267,7 +267,7 @@ class _Headed(KraftMachine):
 
 class TestSpans:
     """The span walk: the Ω fold against the reference walk, a settled span
-    cut by the extensions inside it, and spans out of order."""
+    run with the extensions inside it, and spans out of order."""
 
     @pytest.mark.parametrize("machine, max_len, budget",
                              [w[1:] for w in WALKS], ids=[w[0] for w in WALKS])
@@ -290,6 +290,23 @@ class TestSpans:
             ("010", "halted", "b"), ("011", "halted", "c")]
         assert walk == list(runs_reference(machine, 4, None))
         assert omega_lower_bound(machine, 4, None).halted == ("00", "10", "010", "011")
+
+    def test_a_span_with_extensions_inside_runs_its_own_roots(self):
+        class Rooted(KraftMachine):
+            def roots(self, max_len, budget=None):
+                yield ["01"], None
+                yield from super().roots(max_len, budget)
+
+        machine = Rooted([("000", "a"), ("011", "b"), ("110", "c")])
+        walk = list(runs(machine, 3, None))
+        # "010" and "011" grow from the run root "01" and fall between the
+        # settled roots "000" and "110", which no extension reaches: the
+        # span runs whole with them, "011" once
+        assert [(p, result.status, result.value) for p, result in walk] == [
+            ("01", "invalid", None), ("000", "halted", "a"), ("010", "invalid", None),
+            ("011", "halted", "b"), ("110", "halted", "c")]
+        assert walk == list(runs_reference(machine, 3, None))
+        assert omega_lower_bound(machine, 3, None).value == Dyadic(3, 3)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_cut_spans_match_the_reference(self, seed):

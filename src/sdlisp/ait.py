@@ -78,19 +78,15 @@ def H_upper(x: SExpr, machine, size_cap: int, budget: int | None) -> ComplexityR
     """
     undecided = size_cap + 1  # length of the first still-running program
     for p, outcome in _walk(machine, size_cap, budget):
-        if type(p) is not str:
-            # a settled span: the first program whose value is x, if any
-            i = next(compress(count(), map(eq, outcome, repeat(x))), None)
-            if i is None:
-                continue
-            p = p[i]
-        elif outcome.status == STILL_RUNNING:
-            undecided = min(undecided, len(p))
+        if type(p) is str:  # a run that did not halt
+            if outcome.status == STILL_RUNNING:
+                undecided = min(undecided, len(p))
             continue
-        elif not (outcome.halted and outcome.value == x):
-            continue
-        return ComplexityRecord(target=x, witness=p, size=len(p), search_cap=size_cap,
-                                budget=budget, exact=len(p) <= undecided)
+        # halting programs: the first whose value is x, if any
+        i = next(compress(count(), map(eq, outcome, repeat(x))), None)
+        if i is not None:
+            return ComplexityRecord(target=x, witness=p[i], size=len(p[i]), search_cap=size_cap,
+                                    budget=budget, exact=len(p[i]) <= undecided)
     raise SearchExhausted(f"no program of <= {size_cap} bits computes {print_canonical(x)}")
 
 
@@ -325,11 +321,8 @@ def P_lower(x: SExpr, machine, max_len: int, budget: int | None) -> Dyadic:
     """Mass of the programs of length <= max_len that compute *x* in time."""
     counts = []
     for p, outcome in _walk(machine, max_len, budget):
-        if type(p) is not str:
-            # a settled span: its programs have one length
+        if type(p) is not str:  # halting programs, all of one length
             counts.append(Dyadic(sum(map(eq, outcome, repeat(x))), len(p[0])))
-        elif outcome.halted and outcome.value == x:
-            counts.append(Dyadic(1, len(p)))
     return sum_dyadic(counts)
 
 

@@ -14,25 +14,27 @@ from . import ait, encoders, kraft, omega
 from .bits import BitStream, OutOfData, parse_bit_text
 from .dyadic import Dyadic
 from .interp import Session
-from .sexpr import SExprSyntaxError, parse_implicit, print_canonical, size_chars, to_bits
+from .sexpr import (
+    SExprSyntaxError,
+    parse_implicit,
+    print_canonical,
+    read_exp_from_stream,
+    size_chars,
+    to_bits,
+)
 from .universal import ComposedUniversal, LispU, ToyDoubling, ToyNumeral, ToyPair
 
 MACHINES = {
+    "lispu": LispU,
     "toy": ToyDoubling,
     "toy-numeral": ToyNumeral,
     "toy-pair": ToyPair,
-    "lispu": LispU,
+    "toy+pair": lambda: ComposedUniversal([ToyDoubling(), ToyPair()]),
 }
 
 
 class DomainFailure(Exception):
     """A verb ran correctly but the domain said no."""
-
-
-def _machine(name: str):
-    if name == "toy+pair":
-        return ComposedUniversal([ToyDoubling(), ToyPair()])
-    return MACHINES[name]()
 
 
 def _read_text(path: str) -> str:
@@ -109,8 +111,6 @@ def cmd_u(args) -> int:
 def cmd_bits(args) -> int:
     if args.decode:
         stream = BitStream(parse_bit_text(_read_text(args.expr)))
-        from .sexpr import read_exp_from_stream
-
         expr = read_exp_from_stream(stream)
         print(print_canonical(expr))
         if args.stats:
@@ -127,7 +127,7 @@ def cmd_bits(args) -> int:
 
 def _codec(args):
     if args.scheme == "elegant":
-        return encoders.make_elegant_codec(_machine(args.machine), args.size_cap, args.budget)
+        return encoders.make_elegant_codec(MACHINES[args.machine](), args.size_cap, args.budget)
     return encoders.CODECS[args.scheme]
 
 
@@ -165,7 +165,7 @@ def cmd_kraft(args) -> int:
 
 
 def cmd_omega(args) -> int:
-    machine = _machine(args.machine)
+    machine = MACHINES[args.machine]()
     # round r of the oracle walks max(--oracle, r) bits; round r of the count
     # solver runs each program for 2^(r-1) steps
     dovetails = args.count_file is not None or args.oracle is not None
@@ -221,7 +221,7 @@ def cmd_complexity(args) -> int:
         record = ait.lisp_complexity_upper(target, args.char_cap, args.budget)
         witness = print_canonical(record.witness)
     else:
-        record = ait.H_upper(target, _machine(args.machine), args.size_cap, args.budget)
+        record = ait.H_upper(target, MACHINES[args.machine](), args.size_cap, args.budget)
         witness = record.witness
     print(f"target: {print_canonical(target)}")
     print(f"size: {record.size} {record.unit}")
@@ -234,7 +234,7 @@ def cmd_pair(args) -> int:
     if args.info:
         x = parse_implicit(args.info[0])
         y = parse_implicit(args.info[1])
-        report = ait.info_measures(x, y, _machine(args.machine), args.size_cap, args.budget)
+        report = ait.info_measures(x, y, MACHINES[args.machine](), args.size_cap, args.budget)
         print(f"H(x): {report.h_x.size}")
         print(f"H(y): {report.h_y.size}")
         print(f"H(x,y): {report.h_xy.size}")
@@ -281,7 +281,7 @@ def _schedule(text: str) -> list[int]:
 
 
 def _add_machine_opts(sub, default="toy"):
-    sub.add_argument("--machine", choices=sorted(MACHINES) + ["toy+pair"], default=default)
+    sub.add_argument("--machine", choices=list(MACHINES), default=default)
     sub.add_argument("--budget", type=_natural, default=None)
 
 

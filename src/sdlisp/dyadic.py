@@ -70,11 +70,14 @@ class Dyadic:
         return self.num == other.num and self.exp == other.exp
 
     def __hash__(self) -> int:
-        return hash((self.num, self.exp))
+        # a whole value hashes as the int it equals
+        return hash((self.num, self.exp)) if self.exp else hash(self.num)
 
     def _cmp(self, other) -> int:
         if isinstance(other, int):
             other = Dyadic(other)
+        elif not isinstance(other, Dyadic):
+            raise TypeError(f"cannot compare Dyadic with {type(other).__name__}")
         d = (self - other).num
         return (d > 0) - (d < 0)
 
@@ -89,14 +92,6 @@ class Dyadic:
 
     def __ge__(self, other) -> bool:
         return self._cmp(other) >= 0
-
-    def truncate(self, n: int) -> "Dyadic":
-        """Floor to n fractional bits (defined for non-negative values)."""
-        if self.num < 0:
-            raise ValueError("truncate is for non-negative values")
-        if self.exp <= n:
-            return Dyadic(self.num, self.exp)
-        return Dyadic(self.num >> (self.exp - n), n)
 
     def bin_str(self) -> str:
         """Terminating binary expansion, e.g. 3/4 -> '0.11'."""

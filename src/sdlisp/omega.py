@@ -51,12 +51,13 @@ def runs(machine, max_len: int, budget: int | None):
 
     Roots come in spans of one length, each checked in bulk: its programs
     must be of one length and strictly increasing, and its first must come
-    after the root before it; one equal to that root is skipped, and one
-    before it raises ValueError.  A settled span is taken whole, its
-    programs halting with its values without a run, unless an extension
-    falls inside its range; then its programs run with the extensions, a
-    root equal to an extension running once.  It is a loop, not a
-    recursion, so every run starts at the same host stack depth.
+    after the root before it; one equal to or before that root raises
+    ValueError.  A settled span is taken whole, its programs halting with
+    its values without a run, unless an extension falls inside its range;
+    then its programs run with the extensions, a root equal to an extension
+    running once.  Halting programs always come in spans, a halting run as
+    a one-program span, and a result is rebuilt here for each.  It is a
+    loop, not a recursion, so every run starts at the same host stack depth.
     """
     for p, outcome in _walk(machine, max_len, budget):
         if type(p) is str:
@@ -69,21 +70,24 @@ _END = (None, ())
 
 
 def _walk(machine, max_len: int, budget: int | None):
-    """The walk of :func:`runs`, in its order: (program, result) for each
-    program run, and (programs, values) for each settled span, taken
-    without a run."""
+    """The walk of :func:`runs`, in its order: (programs, values) for the
+    halting programs, a settled span or ((p,), (value,)) for a run that
+    halted, and (program, result) for each run that did not halt."""
     run = machine.run
     lengths = groupby(_spans(machine, max_len, budget), lambda span: len(span[0][0]))
     length, spans = next(lengths, _END)
     grown: list[str] = []  # this length's extensions, in order
     for n in range(max_len + 1):
         children: list[str] = []
-        for programs, values in _segments(spans, grown) if length == n else ((grown, None),):
+        for programs, values in _segments(spans if length == n else (), grown):
             if values is not None:
                 yield programs, values
                 continue
             for p in programs:
                 result = run(p, budget)
+                if result.status == HALTED:
+                    yield (p,), (result.value,)
+                    continue
                 if n < max_len and result.reason == OUT_OF_DATA:
                     children += (p + "0", p + "1")
                 yield p, result
@@ -93,8 +97,8 @@ def _walk(machine, max_len: int, budget: int | None):
 
 
 def _spans(machine, max_len: int, budget: int | None):
-    """The machine's spans, checked in bulk and in order; a first root
-    equal to the last root before it is dropped."""
+    """The machine's spans, checked in bulk and in order: a first root
+    equal to or before the last root before it raises ValueError."""
     if not hasattr(machine, "roots"):
         yield [""], None
         return
@@ -107,14 +111,8 @@ def _spans(machine, max_len: int, budget: int | None):
             raise ValueError(f"{name} yields a span from {programs[0]!r} whose roots are not "
                              "of one length in strictly increasing order")
         if previous is not None and (n, programs[0]) <= (len(previous), previous):
-            if programs[0] != previous:
-                raise ValueError(f"{name} yields root {programs[0]!r} after {previous!r}: "
-                                 "roots must come in (length, lexicographic) order")
-            programs = programs[1:]
-            if values is not None:
-                values = islice(values, 1, None)
-            if not programs:
-                continue
+            raise ValueError(f"{name} yields root {programs[0]!r} after {previous!r}: roots "
+                             "must strictly increase in (length, lexicographic) order")
         previous = programs[-1]
         yield programs, values
 
@@ -141,15 +139,13 @@ def omega_lower_bound(machine, max_len: int, budget: int | None) -> OmegaEstimat
 
     A pure function of (machine, max_len, budget).  Runs are streamed in
     order, so memory holds the roots, the walk's frontier and the halting
-    set, not the space.  It folds the walk of :func:`runs`, and a settled
-    span joins the halting set whole, with no result built.
+    set, not the space.  It folds the walk of :func:`runs`, whose halting
+    programs come in spans, each joining the halting set whole.
     """
     halted: list[str] = []
-    for p, outcome in _walk(machine, max_len, budget):
+    for p, _ in _walk(machine, max_len, budget):
         if type(p) is not str:
             halted += p
-        elif outcome.status == HALTED:
-            halted.append(p)
     return OmegaEstimate(_mass_in_order(halted), max_len, budget, tuple(halted))
 
 
@@ -222,20 +218,18 @@ def omega_prime_lower(machine, n_max: int, size_cap: int, budget: int | None) ->
     a lower bound, and the range is finite: this is a lower bound of a lower
     bound, reported as nothing more.  One walk serves every N: in its
     (length, lexicographic) order the first program that halts with N is
-    the witness H_upper would find, and a settled span is read off its
-    values, every program in it having one length.  The walk stops once
-    every N has a witness.
+    the witness H_upper would find, and its halting programs come in spans
+    (a halting run as one program), each read off its values, every program
+    in it having one length.  The walk stops once every N has a witness.
     """
     wanted = range(n_max + 1)
     sizes: dict[int, int] = {}
-    for p, outcome in _walk(machine, size_cap, budget):
+    for p, values in _walk(machine, size_cap, budget):
         if type(p) is str:
-            values = (outcome.value,) if outcome.status == HALTED else ()
-        else:
-            p, values = p[0], outcome
+            continue  # a run that did not halt
         for value in values:
             if type(value) is int and value in wanted:
-                sizes.setdefault(value, len(p))
+                sizes.setdefault(value, len(p[0]))
         if len(sizes) == len(wanted):
             break  # every term has its witness; the rest of the walk adds none
     return mass(sizes.values())

@@ -29,9 +29,10 @@ extensions.  The decidable machines settle every span and ignore the
 budget; LispU leaves every span to its runs, whose shortcut settles a
 single atom without a session.
 
-A search builds one :class:`RunResult` per program it runs (omega.runs one
-per settled program too), so it is a NamedTuple, and the non-halting
-results are shared instances built once.
+A search builds one :class:`RunResult` per program it runs, so it is a
+NamedTuple, and the non-halting results are shared instances built once.
+The walk hands a halting run on as a one-program span, as it does a settled
+span, and omega.runs rebuilds a result for each halting program.
 """
 
 from __future__ import annotations

@@ -556,6 +556,16 @@ class TestAlgorithmicProbability:
         mass = P_lower(0, machine, 6, None)
         assert mass == Dyadic(1, 2) + Dyadic(1, 4) + Dyadic(1, 6)
 
+    @pytest.mark.parametrize("machine, x, cap, budget", [
+        (TOY, (0, 0, 1), 10, None),
+        (ToyNumeral(), 0, 6, None),
+        (ComposedUniversal([TOY, ToyPair()]), ((0,), (1,)), 16, None),
+        (LispU(), 0, 16, 64),
+    ])
+    def test_run_only_wrapper_gives_the_same_mass(self, machine, x, cap, budget):
+        # the wrapper hides the roots, so every halting program comes from a run
+        assert P_lower(x, _Blind(machine), cap, budget) == P_lower(x, machine, cap, budget) > 0
+
 
 class TestInfoMeasures:
     machine = ComposedUniversal([ToyDoubling(), ToyPair()])

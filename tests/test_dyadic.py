@@ -28,6 +28,20 @@ class TestArithmetic:
         assert Dyadic(15, 5) < Dyadic(1, 1) <= Dyadic(1, 1)
         assert Dyadic(1, 1) > Dyadic(31, 6)
 
+    def test_a_whole_value_hashes_as_the_int_it_equals(self):
+        for n in (0, 1, -3, 2**70):
+            assert Dyadic(n) == n and hash(Dyadic(n)) == hash(n)
+        assert hash(Dyadic(4, 2)) == hash(1)
+        assert {1: "a"}.get(Dyadic(1)) == "a" and {Dyadic(2): "b"}.get(2) == "b"
+        assert len({Dyadic(1), 1, Dyadic(2, 1)}) == 1
+
+    @pytest.mark.parametrize("other", [0.5, "1", None, Fraction(1, 2)])
+    def test_ordering_against_another_type_raises(self, other):
+        for compare in (lambda: Dyadic(1) < other, lambda: Dyadic(1) <= other,
+                        lambda: Dyadic(1) > other, lambda: other >= Dyadic(1)):
+            with pytest.raises(TypeError):
+                compare()
+
     def test_sum(self):
         parts = [Dyadic.half_power(k) for k in range(1, 11)]
         assert sum_dyadic(parts) == Dyadic(1) - Dyadic.half_power(10)
@@ -139,10 +153,6 @@ class TestFormatting:
     def test_fixed_expansion(self):
         assert Dyadic(1, 1).bin_str_fixed(4) == "0.1000"
         assert Dyadic(15, 5).bin_str_fixed(4) == "0.0111"
-
-    def test_truncate(self):
-        assert Dyadic(15, 5).truncate(4) == Dyadic(7, 4)
-        assert Dyadic(1, 1).truncate(4) == Dyadic(1, 1)
 
     def test_parse(self):
         assert Dyadic.parse("15/32") == Dyadic(15, 5)

@@ -381,6 +381,10 @@ def main(argv: list[str] | None = None) -> int:
             omega.Inconclusive, OutOfData) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        pass  # report it below, once leaving this block has freed the search
+    print(f"failure: {args.verb} ran out of memory", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

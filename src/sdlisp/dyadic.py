@@ -7,8 +7,10 @@ probabilities compared at bit precision cannot tolerate rounding.
 from __future__ import annotations
 
 from collections import Counter
+from functools import total_ordering
 
 
+@total_ordering
 class Dyadic:
     """num / 2**exp, kept normalized (num odd or exp == 0)."""
 
@@ -28,14 +30,6 @@ class Dyadic:
         self.exp = exp
 
     @classmethod
-    def zero(cls) -> "Dyadic":
-        return cls(0)
-
-    @classmethod
-    def one(cls) -> "Dyadic":
-        return cls(1)
-
-    @classmethod
     def half_power(cls, k: int) -> "Dyadic":
         """2**-k, the measure of one k-bit program."""
         return cls(1, k)
@@ -52,46 +46,31 @@ class Dyadic:
             return cls(num, den.bit_length() - 1)
         return cls(int(text))
 
-    @property
-    def den(self) -> int:
-        return 1 << self.exp
+    def __add__(self, other):
+        other = _as_dyadic(other)
+        return NotImplemented if other is None else sum_dyadic((self, other))
 
-    def __add__(self, other: "Dyadic") -> "Dyadic":
-        return sum_dyadic((self, other))
+    __radd__ = __add__
 
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        return sum_dyadic((self, Dyadic(-other.num, other.exp)))
+    def __sub__(self, other):
+        other = _as_dyadic(other)
+        return NotImplemented if other is None else sum_dyadic((self, Dyadic(-other.num, other.exp)))
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Dyadic(other)
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        return self.num == other.num and self.exp == other.exp
+    def __rsub__(self, other):
+        other = _as_dyadic(other)
+        return NotImplemented if other is None else other - self
+
+    def __eq__(self, other):
+        other = _as_dyadic(other)
+        return NotImplemented if other is None else self.num == other.num and self.exp == other.exp
 
     def __hash__(self) -> int:
         # a whole value hashes as the int it equals
         return hash((self.num, self.exp)) if self.exp else hash(self.num)
 
-    def _cmp(self, other) -> int:
-        if isinstance(other, int):
-            other = Dyadic(other)
-        elif not isinstance(other, Dyadic):
-            raise TypeError(f"cannot compare Dyadic with {type(other).__name__}")
-        d = (self - other).num
-        return (d > 0) - (d < 0)
-
-    def __lt__(self, other) -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other) -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other) -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other) -> bool:
-        return self._cmp(other) >= 0
+    def __lt__(self, other):
+        other = _as_dyadic(other)
+        return NotImplemented if other is None else (self - other).num < 0
 
     def bin_str(self) -> str:
         """Terminating binary expansion, e.g. 3/4 -> '0.11'."""
@@ -111,10 +90,18 @@ class Dyadic:
     def __str__(self) -> str:
         if self.exp == 0:
             return str(self.num)
-        return f"{self.num}/{self.den}"
+        return f"{self.num}/{1 << self.exp}"
 
     def __repr__(self) -> str:
         return f"Dyadic({self.num}, {self.exp})"
+
+
+def _as_dyadic(x) -> Dyadic | None:
+    """Every operator's operand: a Dyadic as it is, an int as the Dyadic it
+    equals, else None, for which the operator returns NotImplemented."""
+    if isinstance(x, Dyadic):
+        return x
+    return Dyadic(x) if isinstance(x, int) else None
 
 
 def sum_dyadic(items) -> Dyadic:

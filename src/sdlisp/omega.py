@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import groupby, islice, repeat
+from itertools import groupby, islice
 from operator import lt
 
 from .bits import bitstrings_up_to
 from .dyadic import Dyadic, mass, sum_dyadic
-from .universal import HALTED, OUT_OF_DATA, STILL_RUNNING, halted
+from .universal import HALTED, OUT_OF_DATA, STILL_RUNNING
 
 HALTS = "halts"
 NEVER_HALTS = "never-halts"
@@ -36,9 +36,14 @@ class OmegaEstimate:
     halted: tuple[str, ...]
 
 
-def runs(machine, max_len: int, budget: int | None):
-    """Runs of the programs of <= max_len bits that may halt, as
-    (program, result) pairs in (length, lexicographic) order.
+_END = (None, ())
+
+
+def _walk(machine, max_len: int, budget: int | None):
+    """Runs of the programs of <= max_len bits that may halt, in (length,
+    lexicographic) order: (programs, values) for halting programs, a settled
+    span or ((p,), (value,)) for a run that halted, and (program, result)
+    for each run that did not halt.
 
     The walk merges the machine's roots (see universal; a machine without
     them is walked from the empty program) with the out-of-data extensions
@@ -55,24 +60,9 @@ def runs(machine, max_len: int, budget: int | None):
     ValueError.  A settled span is taken whole, its programs halting with
     its values without a run, unless an extension falls inside its range;
     then its programs run with the extensions, a root equal to an extension
-    running once.  Halting programs always come in spans, a halting run as
-    a one-program span, and a result is rebuilt here for each.  It is a
-    loop, not a recursion, so every run starts at the same host stack depth.
+    running once.  It is a loop, not a recursion, so every run starts at
+    the same host stack depth.
     """
-    for p, outcome in _walk(machine, max_len, budget):
-        if type(p) is str:
-            yield p, outcome
-        else:
-            yield from zip(p, map(halted, outcome, repeat(len(p[0]))))
-
-
-_END = (None, ())
-
-
-def _walk(machine, max_len: int, budget: int | None):
-    """The walk of :func:`runs`, in its order: (programs, values) for the
-    halting programs, a settled span or ((p,), (value,)) for a run that
-    halted, and (program, result) for each run that did not halt."""
     run = machine.run
     lengths = groupby(_spans(machine, max_len, budget), lambda span: len(span[0][0]))
     length, spans = next(lengths, _END)
@@ -139,8 +129,8 @@ def omega_lower_bound(machine, max_len: int, budget: int | None) -> OmegaEstimat
 
     A pure function of (machine, max_len, budget).  Runs are streamed in
     order, so memory holds the roots, the walk's frontier and the halting
-    set, not the space.  It folds the walk of :func:`runs`, whose halting
-    programs come in spans, each joining the halting set whole.
+    set, not the space.  It folds :func:`_walk`, whose halting programs
+    come in spans, each joining the halting set whole.
     """
     halted: list[str] = []
     for p, _ in _walk(machine, max_len, budget):

@@ -8,7 +8,7 @@ that exact-consumption rule is what forces the halting set to be prefix-free,
 which the halting-probability machinery requires.
 
 Every machine keeps one contract with the searches that extend programs bit
-by bit (omega.runs): the reason out-of-data means the run needed bits past
+by bit (omega._walk): the reason out-of-data means the run needed bits past
 the end of the program, and every other outcome is final for every
 extension of it.  Every outcome but still-running is final under every
 larger budget too, so a walk in which nothing below k bits ended still
@@ -31,8 +31,8 @@ single atom without a session.
 
 A search builds one :class:`RunResult` per program it runs, so it is a
 NamedTuple, and the non-halting results are shared instances built once.
-The walk hands a halting run on as a one-program span, as it does a settled
-span, and omega.runs rebuilds a result for each halting program.
+The walk, omega._walk, hands a halting run on as a one-program span, as it
+does a settled span, so no search keeps a halting run's result.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ class LispU:
         rule for it stays in that one place.
 
         Every halting program starts with one of them and continues with
-        data, which omega.runs grows only while the run ends out of data.
+        data, which omega._walk grows only while the run ends out of data.
         Texts come in code order, which is the bits' order.  The count is
         exponential in max_len/8, so keep max_len small; a span per first
         character keeps a length's bits from being listed at once.
@@ -339,7 +339,7 @@ class ComposedUniversal:
         """The components' spans behind their selectors, merged by first
         program: the selectors are prefix-free, so spans of one length
         never interleave.  A component without roots gives its bare
-        selector, which omega.runs grows."""
+        selector, which omega._walk grows."""
         # imported here: only compositions merge, and at module level heapq
         # costs every process that imports the package about 0.1 MB
         from heapq import merge

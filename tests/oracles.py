@@ -14,9 +14,9 @@ reference Berry searcher reruns the searcher at each budget of its schedule
 where the package's settles the schedule with one run, the reference
 ``malformed`` count replays the searcher's doubling rounds on the host
 where the package's reads the winning round's captures, the reference
-doubling decoder compares pair by pair where the package's compares
-windows of pairs as two numerals, the reference allocator scans its free
-depths where the package's reads them off a bitmask, and the reference
+doubling decoder compares pair by pair where the package's finds a word
+with one regular-expression match, the reference allocator scans its
+free depths where the package's reads them off a bitmask, and the reference
 walk runs every root it is given and sorts them into buckets by length
 where the package's takes settled spans of roots without a run and merges
 the machine's ordered spans with the extensions it grows.

@@ -156,7 +156,7 @@ def test_05_kraft_allocator_bulk():
             words.append(allocator.request(Requirement(s, "o")))
             used += Fraction(1, 2 ** s)
             assert_prefix_free(words)
-        assert allocator.measure_used() <= Dyadic.one()
+        assert allocator.measure_used() <= Dyadic(1)
 
     for _ in range(1_000):
         # fill to exactly 1 with 2^k equal blocks, then one more must fail
@@ -167,7 +167,7 @@ def test_05_kraft_allocator_bulk():
         overflow_size = rng.randrange(k, 10)
         with pytest.raises(Exhausted):
             allocator.request(Requirement(overflow_size, "o"))
-        assert allocator.measure_used() == Dyadic.one()
+        assert allocator.measure_used() == Dyadic(1)
     clock.done()
 
 
@@ -192,13 +192,13 @@ def test_06_omega_desk_scale():
         assert omega_lower_bound(TOY, max_len, None).value < TOY.exact_omega
 
     u = LispU()
-    previous = Dyadic.zero()
+    previous = Dyadic(0)
     for max_len in (16, 20, 24):
         value = omega_lower_bound(u, max_len, 128).value
-        assert previous <= value <= Dyadic.one()
+        assert previous <= value <= Dyadic(1)
         previous = value
     small = omega_lower_bound(u, 24, 16).value
-    assert small <= omega_lower_bound(u, 24, 256).value <= Dyadic.one()
+    assert small <= omega_lower_bound(u, 24, 256).value <= Dyadic(1)
     clock.done()
 
 

@@ -542,7 +542,7 @@ class TestAlgorithmicProbability:
         assert P_lower((0, 0, 1), TOY, 10, None) == Dyadic(1, 8)
 
     def test_unreachable_output_has_zero_mass(self):
-        assert P_lower("frog", TOY, 10, None) == Dyadic.zero()
+        assert P_lower("frog", TOY, 10, None) == Dyadic(0)
 
     def test_easy_direction_p_at_least_two_to_minus_h(self):
         targets = [(), (1,), (0, 0), (1, 0, 1)]

@@ -1,5 +1,10 @@
 """Command-line surface: verb coverage, formats, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from sdlisp.cli import main
@@ -203,6 +208,22 @@ class TestElegant:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+    def test_running_out_of_memory_is_a_failure_line(self):
+        import resource
+
+        def limit():  # 200,000 KB of address space, as `ulimit -v 200000`
+            resource.setrlimit(resource.RLIMIT_AS, (200_000 * 1024,) * 2)
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "sdlisp.cli", "elegant", "--char-cap", "11",
+             "--numeral-limit", "9"], capture_output=True, text=True, preexec_fn=limit,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr.splitlines()[-1] == "failure: elegant ran out of memory"
+        assert "Traceback" not in done.stderr + done.stdout
 
 
 class TestComplexity:

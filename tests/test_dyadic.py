@@ -42,6 +42,19 @@ class TestArithmetic:
             with pytest.raises(TypeError):
                 compare()
 
+    @pytest.mark.parametrize("other", [0.5, "1", None, Fraction(1, 2)])
+    def test_arithmetic_with_another_type_raises(self, other):
+        for operate in (lambda: Dyadic(1) + other, lambda: other + Dyadic(1),
+                        lambda: Dyadic(1) - other, lambda: other - Dyadic(1)):
+            with pytest.raises(TypeError):
+                operate()
+        assert (Dyadic(1) == other) is False and Dyadic(1) != other
+
+    def test_an_int_operand_on_either_side(self):
+        assert Dyadic(1) + 1 == Dyadic(2) and 1 + Dyadic(1, 1) == Dyadic(3, 1)
+        assert Dyadic(1) - 1 == Dyadic(0) and 1 - Dyadic(1, 1) == Dyadic(1, 1)
+        assert sum([Dyadic(1, 1)] * 3) == Dyadic(3, 1)
+
     def test_sum(self):
         parts = [Dyadic.half_power(k) for k in range(1, 11)]
         assert sum_dyadic(parts) == Dyadic(1) - Dyadic.half_power(10)
@@ -88,10 +101,13 @@ class TestAgainstFractions:
             assert as_fraction(d) == f
 
     def test_add_and_sub(self):
-        rng = random.Random(2)
+        rng, ints = random.Random(2), random.Random(8)  # the int operands draw apart
         for _ in range(2000):
             (a, fa), (b, fb) = random_dyadic(rng), random_dyadic(rng)
-            for d, f in ((a + b, fa + fb), (a - b, fa - fb)):
+            n = ints.choice([ints.randrange(-3, 4), round(fa), ints.randrange(-2**70, 2**70)])
+            for d, f in ((a + b, fa + fb), (a - b, fa - fb), (a + n, fa + n), (n + a, n + fa),
+                         (a - n, fa - n), (n - a, n - fa)):
+                assert type(d) is Dyadic
                 assert_normalized(d)
                 assert as_fraction(d) == f
 
@@ -112,7 +128,7 @@ class TestAgainstFractions:
             assert Dyadic(-d.num, d.exp).bin_str() == binary_expansion(-f)
 
     def test_sum(self):
-        assert sum_dyadic([]) == Dyadic.zero()
+        assert sum_dyadic([]) == Dyadic(0)
         rng = random.Random(3)
         for _ in range(300):
             pairs = [random_dyadic(rng) for _ in range(rng.randrange(0, 12))]
@@ -121,7 +137,7 @@ class TestAgainstFractions:
             assert as_fraction(total) == sum((f for _, f in pairs), Fraction(0))
 
     def test_mass(self):
-        assert mass([]) == Dyadic.zero()
+        assert mass([]) == Dyadic(0)
         rng = random.Random(4)
         for _ in range(300):
             lengths = [rng.randrange(0, 40) for _ in range(rng.randrange(0, 20))]

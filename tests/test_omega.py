@@ -3,6 +3,7 @@
 import heapq
 import random
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 
@@ -12,10 +13,10 @@ from sdlisp.dyadic import Dyadic
 from sdlisp.kraft import Allocator, Exhausted, KraftMachine, Requirement, build_computer
 from sdlisp.omega import (
     Inconclusive,
+    _walk,
     halting_oracle_from_omega,
     omega_lower_bound,
     omega_prime_lower,
-    runs,
     solve_halting_by_count,
 )
 from sdlisp.sexpr import parse_implicit, to_bits
@@ -39,6 +40,16 @@ from oracles import (
     runs_reference,
     toy_omega_partial,
 )
+
+
+def runs(machine, max_len, budget):
+    """The walk as (program, result) pairs, a result rebuilt for each
+    halting program of its spans."""
+    for p, outcome in _walk(machine, max_len, budget):
+        if type(p) is str:
+            yield p, outcome
+        else:
+            yield from zip(p, map(halted, outcome, repeat(len(p[0]))))
 
 
 class _Blind:
@@ -71,7 +82,7 @@ class TestLowerBound:
                 from sdlisp.universal import invalid
                 return invalid("out-of-data")
         estimate = omega_lower_bound(Never(), 0, 10)
-        assert estimate.value == Dyadic.zero()
+        assert estimate.value == Dyadic(0)
 
     def test_matches_blind_enumeration_oracle(self):
         estimate = omega_lower_bound(_Blind(TOY), 10, None)
@@ -94,7 +105,7 @@ class TestLowerBound:
                     assert v1 <= v2
 
     def test_bounded_by_one(self):
-        assert omega_lower_bound(TOY, 20, None).value <= Dyadic.one()
+        assert omega_lower_bound(TOY, 20, None).value <= Dyadic(1)
 
     def test_converges_to_one_half(self):
         assert omega_lower_bound(TOY, 40, None).value == Dyadic(1, 1) - Dyadic(1, 21)
@@ -113,10 +124,10 @@ class TestLowerBound:
 
     def test_lispu_monotone_and_bounded_at_24(self):
         u = LispU()
-        previous = Dyadic.zero()
+        previous = Dyadic(0)
         for max_len in (16, 20, 24):
             value = omega_lower_bound(u, max_len, 64).value
-            assert previous <= value <= Dyadic.one()
+            assert previous <= value <= Dyadic(1)
             previous = value
         for budget in (8, 64, 512):
             value = omega_lower_bound(u, 20, budget).value
@@ -398,7 +409,7 @@ class TestEstimateInvariants:
             estimate = omega_lower_bound(machine, max_len, 64)
             mass = sum(Fraction(1, 2 ** len(p)) for p in estimate.halted)
             assert dyadic_as_fraction(estimate.value) == mass
-            assert Dyadic.zero() <= estimate.value <= Dyadic.one()
+            assert Dyadic(0) <= estimate.value <= Dyadic(1)
 
     def test_halted_sets_are_prefix_free(self):
         for machine, max_len in ((TOY, 12), (LispU(), 17)):

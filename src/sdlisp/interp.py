@@ -22,12 +22,29 @@ for the forms that steer evaluation or use the context.
 ``evaluate`` is the hot loop of every search, so it makes no call per step
 that it can do without: it charges the step inline, with
 :meth:`Budget.charge` as the rule's specification, fetches arguments by
-index against one ``len``, and takes an atom in head position, or as an
-argument of a value primitive or of a lambda application, in place (an atom
-costs no step and no depth): a numeral or nil as itself, a symbol as its
-binding in the local frame, else in the session's globals, else itself.  A
-quoted argument of a value primitive is read in place too; it still costs
-its step, and at the depth limit it goes through ``evaluate``'s own rule.
+index against one ``len``, and takes an atom in head position, as an
+argument of a value primitive or of a lambda application, or as an operand
+of ``if``, ``let``, ``display``, ``eval`` or ``try``, in place (an atom costs
+no step and no depth): a numeral or nil as itself, a symbol as its binding
+in the local frame, else in the session's globals, else itself.  A quoted
+argument of a value primitive is read in place too; it still costs its
+step, and at the depth limit it goes through ``evaluate``'s own rule.
+
+``cdr`` shares its list, as ``cdr`` over cells does in McCarthy's LISP:
+``cdr`` of a list of two or more items is a shared tail (:class:`_Rest`),
+its items from some index on, not a copy, so walking a list by ``cdr`` costs
+O(1) host work a step.  A shared tail lives only in local frames (``let``
+and a lambda application bind it as it is) and in ``evaluate``'s own
+intermediate results.  ``car``, ``cdr``, ``cadr`` and ``atom`` read it in
+place, arithmetic reads it as any non-number, and an ``if`` test as any
+value but ``false``.  It becomes the tuple it stands for, and nowhere else,
+before it is stored in a tuple (``cons``, ``append``, a ``display`` capture,
+the ``try`` triple), compared or measured (``=``, ``size``, ``bits``), run
+as code (``eval``, ``try``'s expression and data, a head that may be a
+lambda form), or returned to the host (``evaluate`` at depth 0, and the
+value of a ``try``).  So no tuple ever holds one, and every value a caller
+sees is made of numerals, symbols and tuples.  ``cons`` and ``append`` still
+copy.
 
 A local frame is one flat dict of every local binding in scope: ``let``
 copies it with one name added, and a lambda application copies its
@@ -151,6 +168,31 @@ class _Ctx:
         self.watched = None
 
 
+class _Rest:
+    """A shared tail: the items of *base* from index *start* on, with
+    ``1 <= start < len(base)``, standing for ``base[start:]`` without the
+    copy.  Only ``cdr`` makes one; see the module docstring for where it
+    becomes that tuple."""
+
+    __slots__ = ("base", "start")
+
+    def __init__(self, base: tuple, start: int):
+        self.base = base
+        self.start = start
+
+
+def _plain(v: SExpr) -> SExpr:
+    """*v*, with a shared tail made the tuple it stands for."""
+    return v.base[v.start:] if type(v) is _Rest else v
+
+
+def _list(v: SExpr) -> tuple:
+    """*v* as a plain list, or nil when it is an atom."""
+    if isinstance(v, tuple):
+        return v
+    return v.base[v.start:] if type(v) is _Rest else NIL
+
+
 def _arg(e: tuple, i: int) -> SExpr:
     return e[i] if i < len(e) else NIL
 
@@ -166,8 +208,13 @@ def _coerce_data(v: SExpr) -> str:
 
 
 def _equal(a: SExpr, b: SExpr) -> bool:
-    """Structural equality.  Python's == on two tuples recurses on the host
-    stack, so lists are compared with an explicit stack."""
+    """Structural equality, a shared tail read as its tuple.  Python's == on
+    two tuples recurses on the host stack, so lists are compared with an
+    explicit stack."""
+    if type(a) is _Rest:
+        a = a.base[a.start:]
+    if type(b) is _Rest:
+        b = b.base[b.start:]
     if not (isinstance(a, tuple) and isinstance(b, tuple)):
         return a == b
     stack = [(a, b)]
@@ -184,24 +231,51 @@ def _equal(a: SExpr, b: SExpr) -> bool:
     return True
 
 
+def _car(v: SExpr) -> SExpr:
+    if type(v) is _Rest:
+        return v.base[v.start]
+    return v[0] if isinstance(v, tuple) and v else v
+
+
+def _cdr(v: SExpr) -> SExpr:
+    if type(v) is _Rest:
+        base, start = v.base, v.start + 1
+    elif isinstance(v, tuple) and v:
+        base, start = v, 1
+    else:
+        return v
+    return _Rest(base, start) if start < len(base) else NIL
+
+
+def _cadr(v: SExpr) -> SExpr:
+    if type(v) is _Rest:
+        base, start = v.base, v.start + 1
+    elif isinstance(v, tuple) and v:
+        base, start = v, 1
+    else:
+        return v
+    return base[start] if start < len(base) else NIL
+
+
 # size and bits call through this module's globals, so that a wrapper
 # installed on them sees every call.  Each entry is (function, arity), the
-# arity read from PRIMITIVE_ARITY, so dispatch is one lookup.
+# arity read from PRIMITIVE_ARITY, so dispatch is one lookup.  car, cdr,
+# cadr and atom read a shared tail in place, and + - * < read it as any
+# other non-number; the rest take it as a tuple.
 _VALUE_PRIMITIVES = {name: (fn, PRIMITIVE_ARITY[name]) for name, fn in {
-    "car": lambda v: v[0] if isinstance(v, tuple) and v else v,
-    "cdr": lambda v: v[1:] if isinstance(v, tuple) and v else v,
-    "cadr": lambda v: (v[1] if len(v) > 1 else NIL) if isinstance(v, tuple) and v else v,
-    "cons": lambda a, d: (a, *d) if isinstance(d, tuple) else (a,),
-    "append": lambda a, b: ((a if isinstance(a, tuple) else NIL)
-                            + (b if isinstance(b, tuple) else NIL)),
-    "atom": lambda v: FALSE if isinstance(v, tuple) and v else TRUE,
+    "car": _car,
+    "cdr": _cdr,
+    "cadr": _cadr,
+    "cons": lambda a, d: (_plain(a), *_list(d)),
+    "append": lambda a, b: _list(a) + _list(b),
+    "atom": lambda v: FALSE if type(v) is _Rest or isinstance(v, tuple) and v else TRUE,
     "=": lambda a, b: TRUE if _equal(a, b) else FALSE,
     "+": lambda a, b: _nat(a) + _nat(b),
     "-": lambda a, b: max(0, _nat(a) - _nat(b)),
     "*": lambda a, b: _nat(a) * _nat(b),
     "<": lambda a, b: TRUE if _nat(a) < _nat(b) else FALSE,
-    "size": lambda v: size_chars(v),
-    "bits": lambda v: bits_to_sexpr(to_bits(v)),
+    "size": lambda v: size_chars(_plain(v)),
+    "bits": lambda v: bits_to_sexpr(to_bits(_plain(v))),
 }.items()}
 
 
@@ -220,7 +294,8 @@ def evaluate(e: SExpr, env: dict[str, SExpr], ctx: _Ctx, depth: int = 0) -> SExp
         if type(e) is int:
             return e
         if type(e) is str:
-            return env[e] if e in env else ctx.genv.get(e, e)
+            v = env[e] if e in env else ctx.genv.get(e, e)
+            return v if depth else _plain(v)
         n = len(e)
         if not n:
             return NIL
@@ -250,7 +325,7 @@ def evaluate(e: SExpr, env: dict[str, SExpr], ctx: _Ctx, depth: int = 0) -> SExp
                     else:
                         a = evaluate(a, env, ctx, depth + 1)
                 if arity == 1:
-                    return fn(a)
+                    return fn(a) if depth else _plain(fn(a))
                 b = e[2] if n > 2 else NIL
                 if type(b) is str:
                     b = env[b] if b in env else ctx.genv.get(b, b)
@@ -268,12 +343,21 @@ def evaluate(e: SExpr, env: dict[str, SExpr], ctx: _Ctx, depth: int = 0) -> SExp
                 if head == QUOTE:
                     return e[1] if n > 1 else NIL
                 if head == "if":
-                    cond = evaluate(e[1], env, ctx, depth + 1) if n > 1 else NIL
+                    cond = e[1] if n > 1 else NIL
+                    if type(cond) is str:
+                        cond = env[cond] if cond in env else ctx.genv.get(cond, cond)
+                    elif type(cond) is not int and cond:
+                        cond = evaluate(cond, env, ctx, depth + 1)
                     i = 2 if cond != FALSE else 3
                     e = e[i] if i < n else NIL
                     continue
                 if head == "display":
-                    v = evaluate(e[1], env, ctx, depth + 1) if n > 1 else NIL
+                    v = e[1] if n > 1 else NIL
+                    if type(v) is str:
+                        v = env[v] if v in env else ctx.genv.get(v, v)
+                    elif type(v) is not int and v:
+                        v = evaluate(v, env, ctx, depth + 1)
+                    v = _plain(v)
                     if ctx.emit is not None:
                         ctx.emit(v)
                     return v
@@ -281,7 +365,11 @@ def evaluate(e: SExpr, env: dict[str, SExpr], ctx: _Ctx, depth: int = 0) -> SExp
                     return e if isinstance(e, Closure) else Closure(e, env)
                 if head == "let":
                     name = e[1] if n > 1 else NIL
-                    value = evaluate(e[2], env, ctx, depth + 1) if n > 2 else NIL
+                    value = e[2] if n > 2 else NIL
+                    if type(value) is str:
+                        value = env[value] if value in env else ctx.genv.get(value, value)
+                    elif type(value) is not int and value:
+                        value = evaluate(value, env, ctx, depth + 1)
                     if isinstance(name, str):
                         env = {**env, name: value}
                     e = e[3] if n > 3 else NIL
@@ -294,7 +382,12 @@ def evaluate(e: SExpr, env: dict[str, SExpr], ctx: _Ctx, depth: int = 0) -> SExp
                         return sig[0]
                     return sig if isinstance(sig, str) else NIL
                 if head == "eval":
-                    e = evaluate(e[1], env, ctx, depth + 1) if n > 1 else NIL
+                    x = e[1] if n > 1 else NIL
+                    if type(x) is str:
+                        x = env[x] if x in env else ctx.genv.get(x, x)
+                    elif type(x) is not int and x:
+                        x = evaluate(x, env, ctx, depth + 1)
+                    e = _plain(x)
                     env = {}
                     continue
                 if head == "read-bit":
@@ -311,9 +404,14 @@ def evaluate(e: SExpr, env: dict[str, SExpr], ctx: _Ctx, depth: int = 0) -> SExp
                         # data; the outcome vocabulary stays closed.
                         raise OutOfData(str(exc)) from exc
                 if head == "try":
-                    limit = evaluate(e[1], env, ctx, depth + 1) if n > 1 else NIL
-                    tried = evaluate(e[2], env, ctx, depth + 1) if n > 2 else NIL
-                    data = evaluate(e[3], env, ctx, depth + 1) if n > 3 else NIL
+                    operands = []
+                    for x in e[1:4]:
+                        if type(x) is str:
+                            x = env[x] if x in env else ctx.genv.get(x, x)
+                        elif type(x) is not int and x:
+                            x = evaluate(x, env, ctx, depth + 1)
+                        operands.append(_plain(x))
+                    limit, tried, data = (*operands, NIL, NIL, NIL)[:3]
                     return _try(tried, limit, _coerce_data(data), ctx, depth + 1)
                 if head == "run-utm-on":
                     e = ("cadr", ("try", NO_TIME_LIMIT, (QUOTE, ("eval", ("read-exp",))),
@@ -326,6 +424,8 @@ def evaluate(e: SExpr, env: dict[str, SExpr], ctx: _Ctx, depth: int = 0) -> SExp
             return NIL  # a numeral or nil is itself, and applies as nil
         else:
             f = evaluate(head, env, ctx, depth + 1)
+        if type(f) is _Rest:
+            f = f.base[f.start:]
         if isinstance(f, tuple) and len(f) == 3 and f[0] == "lambda":
             params = f[1] if isinstance(f[1], tuple) else ()
             frame = dict(f.env) if isinstance(f, Closure) else {}
@@ -382,7 +482,7 @@ def _try(expr: SExpr, limit: SExpr, data: str, ctx: _Ctx, depth: int = 0) -> SEx
         budget.limit = outer
         if outer is None:
             budget.used = used  # an unlimited budget never counts
-    return (SUCCESS, value, tuple(captures))
+    return (SUCCESS, _plain(value), tuple(captures))
 
 
 class Session:

@@ -7,8 +7,10 @@ On programs built from every primitive, ``lambda``, ``let`` and ``try``
 over data that ``read-bit`` and ``read-exp`` consume, and over globals that
 free names read, both must agree on the outcome, the value, the steps used,
 the displayed values and the data read, at every budget.  The same runs
-check that the evaluator is total and that every final outcome is
-budget-monotone.
+check that the evaluator is total, that every final outcome is
+budget-monotone, and that every value and capture the package returns is
+built of numerals, symbols and tuples alone: a tail that ``cdr`` shares
+never escapes, which list walks feeding it to every form test hardest.
 """
 
 import ast
@@ -18,7 +20,7 @@ import textwrap
 
 from sdlisp import interp
 from sdlisp.bits import BitStream, OutOfData
-from sdlisp.interp import NO_TIME_LIMIT, Budget, OutOfTime, Session, evaluate
+from sdlisp.interp import NO_TIME_LIMIT, Budget, Closure, OutOfTime, Session, evaluate
 from sdlisp.sexpr import PRIMITIVE_ARITY, QUOTE, to_bits
 
 from oracles import Env, ReferenceCtx, evaluate_reference
@@ -142,8 +144,24 @@ def _outcome(run, expr, budget, data):
     return kind, value, bud.used, tuple(captures), stream.pos
 
 
+def assert_plain(value):
+    """No shared tail escapes: *value* is built of numerals, symbols and
+    tuples only (a ``Closure`` is a tuple)."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        assert type(v) in (int, str, tuple, Closure), (type(v), value)
+        if type(v) is not int and type(v) is not str:
+            stack.extend(v)
+
+
 def _package(session, expr, bud, stream, captures):
-    return evaluate(expr, {}, session._ctx(bud, stream=stream, captures=captures))
+    try:
+        value = evaluate(expr, {}, session._ctx(bud, stream=stream, captures=captures))
+    finally:
+        assert_plain(tuple(captures))
+    assert_plain(value)
+    return value
 
 
 def _reference(session, expr, bud, stream, captures):
@@ -249,4 +267,79 @@ def test_package_agrees_with_reference_on_application_heads():
             elif kind != "out-of-time":
                 final = got
     assert heads == set(HEAD_KINDS)
+    assert kinds == {"value", "out-of-time", "out-of-data"}
+
+
+# What a walk over a list by ``cdr`` does with the current tail ``l``, which
+# the package holds as a shared tail: each use must read it as the tuple it
+# stands for, wherever it is stored, compared, measured, run or returned.
+TAIL_USES = {
+    "=": lambda rng: ("=", "l", rng.choice(("l", ("cdr", "l"), (QUOTE, (1, 2)), 3))),
+    "cons": lambda rng: rng.choice((("cons", "l", "l"), ("cons", 1, "l"), ("cons", "l", 2))),
+    "append": lambda rng: rng.choice((("append", "l", ("cdr", "l")), ("append", "l", 5))),
+    "size": lambda rng: ("size", rng.choice(("l", ("cdr", "l")))),
+    "bits": lambda rng: ("bits", rng.choice(("l", ("cdr", "l")))),
+    "display": lambda rng: ("display", rng.choice(("l", ("cdr", "l")))),
+    "eval": lambda rng: ("eval", rng.choice(("l", ("cdr", "l")))),
+    "try": lambda rng: ("try", rng.choice((0, 3, 20, NO_TIME_LIMIT)), rng.choice(("l", ("cdr", "l"))),
+                        rng.choice(("l", ("cdr", "l")))),
+    "let": lambda rng: ("let", "x", rng.choice(("l", ("cdr", "l"))),
+                        rng.choice(("x", ("car", "x"), ("cons", "x", ()), ("atom", "x")))),
+    "if": lambda rng: ("if", rng.choice(("l", ("cdr", "l"))), 1, 2),
+    "head": lambda rng: (rng.choice(("l", ("cdr", "l"))), rng.randrange(0, 12), "l"),
+}
+
+
+def _list_item(rng):
+    """An item of a walked list; some tails of the list are code: a value
+    primitive's call, a bit read, or a lambda form."""
+    return rng.choice((
+        lambda: rng.randrange(0, 12),
+        lambda: rng.choice(("a", "l", "+", "car", "cdr", "atom", "false", "nil", "read-bit")),
+        lambda: rng.choice(((1, 2), ("+", 1, 2), ("cdr", (QUOTE, (1, 2, 3))), ("read-bit",))),
+        lambda: ("lambda", ("x",), ("cons", "x", "x")),
+    ))()
+
+
+def random_walk(rng):
+    """A quoted list of 0-40 items, walked by a self-applying lambda over
+    ``cdr`` that feeds the current tail to one to three of TAIL_USES each
+    step, and returns what it gathered or, stopping early, the tail itself
+    (read at depth 0)."""
+    items = [_list_item(rng) for _ in range(rng.randrange(0, 41))]
+    if items and rng.random() < 0.3:
+        # a tail that is a lambda form, for the head position to apply
+        at = rng.randrange(len(items))
+        items[at:] = ["lambda", ("x",), ("+", "x", 1)]
+    uses = rng.sample(sorted(TAIL_USES), rng.randint(1, 3))
+    gathered = "acc"
+    for use in uses:
+        gathered = ("cons", TAIL_USES[use](rng), gathered)
+    done = rng.choice(("acc", "l", ("cdr", "l"), ("cons", "l", "acc")))
+    body = ("if", ("atom", "l"), "acc",
+            ("if", ("<", ("size", "acc"), rng.choice((10, 100, 1000))),
+             ("w", "w", ("cdr", "l"), gathered), done))
+    walk = ("let", "w", ("lambda", ("w", "l", "acc"), body),
+            ("w", "w", (QUOTE, tuple(items)), ()))
+    return uses, walk
+
+
+def test_package_agrees_with_reference_on_list_walks():
+    rng = random.Random(20034)
+    kinds = set()
+    used = set()
+    for _ in range(2000):
+        uses, expr = random_walk(rng)
+        used.update(uses)
+        data = _bits(rng)
+        final = None
+        for budget in BUDGETS:
+            got = _outcome(_package, expr, budget, data)
+            assert got == _outcome(_reference, expr, budget, data), (expr, data, budget)
+            kinds.add(got[0])
+            if final is not None:
+                assert got == final, (expr, data, budget)
+            elif got[0] != "out-of-time":
+                final = got
+    assert used == set(TAIL_USES)
     assert kinds == {"value", "out-of-time", "out-of-data"}

@@ -12,6 +12,7 @@ at the given caps and budget.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, compress, count, islice, repeat
@@ -240,11 +241,41 @@ def lisp_complexity_upper(x: SExpr, char_cap: int, budget: int | None,
     raise SearchExhausted(f"no expression of <= {char_cap} chars evaluates to {print_canonical(x)}")
 
 
+class Listing(Mapping):
+    """A read-only mapping of expressions to their values, in enumeration
+    order, over two parallel lists.  Length and iteration read the lists
+    without hashing; the first lookup (``[]``, ``in``, ``get``, and so
+    ``values``, ``items`` and ``==``) builds a dict index and keeps it."""
+
+    def __init__(self, exprs: list, vals: list):
+        self._exprs = exprs
+        self._vals = vals
+        self._index = None
+
+    def __len__(self) -> int:
+        return len(self._exprs)
+
+    def __iter__(self) -> Iterator[SExpr]:
+        return iter(self._exprs)
+
+    def __getitem__(self, expr: SExpr) -> SExpr:
+        if self._index is None:
+            self._index = dict(zip(self._exprs, self._vals))
+        return self._index[expr]
+
+
 @dataclass(frozen=True)
 class ElegantReport:
+    """What :func:`elegant_search` found.  ``listing`` maps every expression
+    that ended with a value to that value, in enumeration order (a
+    :class:`Listing`; a lookup in it builds its index on first use);
+    ``min_size`` maps each value to the smallest size that reached it, and
+    ``elegant`` holds the (expression, value) pairs of that size, in
+    order."""
+
     char_cap: int
     budget: int | None
-    listing: dict
+    listing: Listing
     min_size: dict
     elegant: tuple
 
@@ -264,7 +295,10 @@ def elegant_search(char_cap: int, budget: int | None,
     space = space or ExpressionSpace()
     ctx = Session()._ctx(Budget(budget))
     shared = ctx.budget
-    listing: dict = {}
+    # every expression is enumerated once, so the listing is two parallel
+    # lists, hashed only if a caller looks one up
+    listed: list = []
+    vals: list = []
     min_size: dict = {}
     elegant: list = []
     # sizes ascend, so a value's first size is its minimum and appending
@@ -274,7 +308,8 @@ def elegant_search(char_cap: int, budget: int | None,
             if settled:
                 if budget is not None:
                     shared.used += len(exprs)
-                listing.update(zip(exprs, repeat(NIL)))
+                listed.extend(exprs)
+                vals.extend(repeat(NIL, len(exprs)))
                 if min_size.setdefault(NIL, size) == size:
                     elegant.extend(zip(exprs, repeat(NIL)))
                 continue
@@ -288,10 +323,11 @@ def elegant_search(char_cap: int, budget: int | None,
                         value = evaluate(expr, {}, ctx)
                     except (OutOfTime, OutOfData):
                         continue
-                listing[expr] = value
+                listed.append(expr)
+                vals.append(value)
                 if min_size.setdefault(value, size) == size:
                     elegant.append((expr, value))
-    return ElegantReport(char_cap, budget, listing, min_size, tuple(elegant))
+    return ElegantReport(char_cap, budget, Listing(listed, vals), min_size, tuple(elegant))
 
 
 # ---------------------------------------------------------------------------

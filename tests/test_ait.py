@@ -342,13 +342,29 @@ class TestElegance:
         (8, 64, ExpressionSpace(numeral_limit=9)),
         # every list runs out of time, and every numeral keeps its value
         (4, 0, ExpressionSpace(numeral_limit=999)),
+        (8, 128, ExpressionSpace(numeral_limit=9)),
     ])
     def test_matches_the_reference_evaluator(self, char_cap, budget, space):
         # brute_force_elegance evaluates with the package's own evaluator; this
         # one does not, so it sees a change to evaluate or to the search's loop
         report = elegant_search(char_cap, budget, space)
         listing, min_size, elegant = _elegance_by_reference(char_cap, budget, space)
-        assert list(report.listing.items()) == list(listing.items())
+        got = report.listing
+        # no expression is listed twice, and every view reads in order
+        assert len(got) == len(dict(got.items())) == len(listing)
+        assert list(got) == list(got.keys()) == list(listing.keys())
+        assert list(got.values()) == list(listing.values())
+        assert list(got.items()) == list(listing.items())
+        for view in (got.keys(), got.values(), got.items()):
+            assert len(view) == len(listing) and list(view) == list(view)
+        assert got == listing and listing == got
+        assert got != {} and {} != got
+        for expr, value in listing.items():
+            assert expr in got and got[expr] == value
+        missing = parse_full("(a b c d e f g h)")
+        assert missing not in got and got.get(missing) is None
+        with pytest.raises(KeyError):
+            got[missing]
         assert report.min_size == min_size
         assert report.elegant == elegant
 

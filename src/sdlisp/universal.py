@@ -26,8 +26,9 @@ iterates one value per program: a promise that the program halts under
 span whole, without a run, unless an out-of-data extension of a shorter
 program falls inside its range; then its programs run with the
 extensions.  The decidable machines settle every span and ignore the
-budget; LispU leaves every span to its runs, whose shortcut settles a
-single atom without a session.
+budget.  LispU's roots are every printable text, each left to its runs:
+run alone decides what parses, its shortcut settles a single atom without
+a session, and a text that does not parse costs none.
 
 A search builds one :class:`RunResult` per program it runs, so it is a
 NamedTuple, and the non-halting results are shared instances built once.
@@ -37,9 +38,7 @@ does a settled span, so no search keeps a halting run's result.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import groupby, product
-from operator import itemgetter
+from itertools import product
 from typing import NamedTuple
 
 from .bits import BitStream, OutOfData, bit_values, check_bits, read_doubled
@@ -48,6 +47,7 @@ from .interp import Budget, OutOfTime, Session, evaluate
 from .sexpr import (
     NEWLINE_BITS,
     NOT_AN_ATOM,
+    ArityTable,
     SExpr,
     SExprSyntaxError,
     parse_implicit,
@@ -97,20 +97,6 @@ def invalid(reason: str) -> RunResult:
     return _INVALID[reason]
 
 
-@lru_cache(maxsize=8)
-def _parseable_texts(nchars: int) -> tuple[str, ...]:
-    printable = [chr(c) for c in range(32, 127)]
-    out = []
-    for text in map("".join, product(printable, repeat=nchars)):
-        if single_atom(text) is NOT_AN_ATOM:
-            try:
-                parse_implicit(text)
-            except SExprSyntaxError:
-                continue
-        out.append(text)
-    return tuple(out)
-
-
 class LispU:
     """The universal computer: an expression in 8-bit characters up to a
     newline, evaluated with the remaining bits as its binary data.
@@ -149,11 +135,13 @@ class LispU:
             return invalid(OUT_OF_DATA)
         except SExprSyntaxError:
             return invalid(PARSE_ERROR)
-        session = Session()
+        table = ArityTable()
         try:
-            expr = parse_implicit(text, session.table)
+            expr = parse_implicit(text, table)
         except SExprSyntaxError:
             return invalid(PARSE_ERROR)
+        session = Session()  # only a text that parses costs a session
+        session.table = table  # the arities the text defines, for its read-exp
         ctx = session._ctx(bud, stream=stream)
         try:
             value = evaluate(expr, {}, ctx)
@@ -169,10 +157,11 @@ class LispU:
         return halted(value, len(program))
 
     def roots(self, max_len: int, budget: int | None = None):
-        """The bits of every parseable text and its newline, up to max_len,
+        """The bits of every printable text and its newline, up to max_len,
         one span per length and first character, each left to its runs:
-        run's shortcut settles a single atom without a session, and the
-        rule for it stays in that one place.
+        run decides every root, so the rules for what parses and for a
+        single atom stay in that one place.  A text that does not parse
+        ends parse-error, which is final for every extension.
 
         Every halting program starts with one of them and continues with
         data, which omega._walk grows only while the run ends out of data.
@@ -180,12 +169,11 @@ class LispU:
         exponential in max_len/8, so keep max_len small; a span per first
         character keeps a length's bits from being listed at once.
         """
-        # text_bits of each printable character: str.translate spells a
-        # text this short faster than text_bits does
-        code_bits = {c: format(c, "08b") for c in range(32, 127)}
+        codes = [format(c, "08b") for c in range(32, 127)]  # text_bits of each character
         for nchars in range(1, max_len // 8):
-            for _, texts in groupby(_parseable_texts(nchars), itemgetter(0)):
-                yield [text.translate(code_bits) + NEWLINE_BITS for text in texts], None
+            rest = [codes] * (nchars - 1)
+            for code in codes:
+                yield list(map("".join, product((code,), *rest, (NEWLINE_BITS,)))), None
 
 
 def run_U(program: str, budget: int | None = None) -> RunResult:

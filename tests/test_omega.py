@@ -19,14 +19,16 @@ from sdlisp.omega import (
     omega_prime_lower,
     solve_halting_by_count,
 )
-from sdlisp.sexpr import parse_implicit, to_bits
+from sdlisp.sexpr import SExprSyntaxError, parse_implicit, to_bits
 from sdlisp.universal import (
+    PARSE_ERROR,
     ComposedUniversal,
     LispU,
     ToyDoubling,
     ToyNumeral,
     ToyPair,
     halted,
+    invalid,
     still_running,
 )
 
@@ -146,9 +148,16 @@ class _OneText(LispU):
 
 class TestRuns:
     def test_lispu_runs_each_halting_program_once(self):
-        results = [result for _, result in runs(LispU(), 24, 64)]
-        assert len(results) == 8625
-        assert all(result.halted for result in results)
+        pairs = list(runs(LispU(), 24, 64))
+        assert len({p for p, _ in pairs}) == len(pairs) == 9120
+        assert sum(result.halted for _, result in pairs) == 8625
+        # the other 495 are texts the reader rejects
+        unparseable = [(p, result) for p, result in pairs if not result.halted]
+        assert len(unparseable) == 495
+        for p, result in unparseable:
+            assert result == invalid(PARSE_ERROR)
+            with pytest.raises(SExprSyntaxError):
+                parse_implicit(int(p, 2).to_bytes(len(p) // 8, "big")[:-1].decode())
 
     def test_length_then_lexicographic_order(self):
         programs = [p for p, _ in runs(_Blind(TOY), 12, None)]
@@ -224,13 +233,16 @@ class TestWalkAgainstReference:
                 Counted.calls += 1
                 return super().run(program, budget)
 
+        # every printable text of one and two characters: 95 + 95 ** 2
         roots = list(root_pairs(LispU(), 24, budget))
-        assert len(roots) == 8625
+        assert len(roots) == 9120
         assert all(value is UNSETTLED for _, value in roots)
-        results = [result for _, result in runs(Counted(), 24, budget)]
-        assert Counted.calls == len(results) == 8625
+        pairs = list(runs(Counted(), 24, budget))
+        assert Counted.calls == len(pairs) == 9120
+        assert [p for p, _ in pairs] == [p for p, _ in roots]
         if budget < 2:
-            assert all(result == still_running() for result in results)
+            # run's early return comes before any reading, parseable or not
+            assert all(result == still_running() for _, result in pairs)
 
     def test_a_settled_root_is_not_run(self):
         class Counted(ToyDoubling):

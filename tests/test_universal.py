@@ -9,6 +9,7 @@ from sdlisp import bits, universal
 from sdlisp.bits import bit_values, bitstrings_up_to, check_bits, doubled
 from sdlisp.interp import run_source
 from sdlisp.kraft import Requirement, build_computer
+from sdlisp.omega import omega_lower_bound
 from sdlisp.sexpr import (
     NIL,
     NOT_AN_ATOM,
@@ -211,6 +212,44 @@ class TestSingleAtom:
             if data:
                 result = U.run(prefix + data, 64)
                 assert result.reason == PARTIAL_CONSUMPTION, (text, data)
+
+
+class TestRunDecidesEveryRoot:
+    """U's roots are every printable text, and run alone decides what
+    parses: one single_atom call per root, one parse per other text, and a
+    session only for a text that parses."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = {"single_atom": 0, "parse_implicit": 0, "Session": 0, "evaluate": 0}
+        for name in seen:
+            def counting(*args, _name=name, _f=getattr(universal, name)):
+                seen[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(universal, name, counting)
+        return seen
+
+    def test_one_single_atom_call_per_root(self, calls):
+        estimate = omega_lower_bound(U, 24, 64)
+        assert len(estimate.halted) == 8625
+        # 95 + 95 ** 2 roots; 8,538 single atoms, 87 other halting texts
+        # and 495 that do not parse
+        assert calls["single_atom"] == 9120
+        assert calls["parse_implicit"] == 87 + 495
+
+    def test_an_unparseable_root_builds_no_session(self, calls):
+        omega_lower_bound(U, 24, 64)
+        assert calls["Session"] == calls["evaluate"] == 87
+        assert U.run(text_bits("(\n"), 64) == invalid(PARSE_ERROR)
+        assert calls["Session"] == 87
+
+    @pytest.mark.parametrize("data, result", [
+        ("f 7", halted(("f", "f", 7), 296)),
+        ("g 7", invalid(PARSE_ERROR)),
+    ])
+    def test_read_exp_sees_the_arities_the_text_defines(self, data, result):
+        program = text_bits("cons (define (f x) x) (read-exp)\n" + data + "\n")
+        assert U.run(program, 64) == result
 
 
 class TestToyDoubling:
